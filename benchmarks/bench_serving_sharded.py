@@ -7,17 +7,13 @@ ceiling left is the GIL-bound event loop — which is exactly what
 :class:`~repro.serving.sharded.ShardedHub` removes by fanning each ingest
 batch out to N shared-nothing worker processes.
 
-Detections are asserted bit-identical between all hubs, so the comparison
-is pure execution-engine overhead: fan-out transport + parallel flush vs
-in-process flush.  Both sharded transports are measured side by side —
-``pickle`` (event chunks serialized through the worker pipes) and ``shm``
-(float batches staged in per-shard shared memory, only descriptors on the
-pipes) — and the shared-memory path must beat the pickle path: it replaces
-per-batch serialization with one memcpy regardless of core count.  The
-sharded-vs-single speedup, by contrast, is bounded by the machine's core
-count; on a single-core container the sharded hub *pays* the IPC cost
-without the parallelism (the result file records the core count for that
-reason), so that hard assertion only applies on multi-core hosts.
+Detections are asserted bit-identical between the two hubs, so the
+comparison is pure execution-engine overhead: shared-memory fan-out +
+parallel flush vs in-process flush.  The sharded-vs-single speedup is
+bounded by the machine's core count; on a single-core container the sharded
+hub *pays* the IPC cost without the parallelism (the result file records
+the core count for that reason), so that hard assertion only applies on
+multi-core hosts.
 """
 
 from __future__ import annotations
@@ -59,14 +55,8 @@ def _register_fleet(hub):
 
 
 def _stream_values():
-    """Distinct per-monitor streams (same drift shape, rotated).
-
-    Using one shared chunk object for every monitor would let the pickle
-    transport memoize it — serializing the batch once per flush instead of
-    once per monitor, which no real interleaved multi-tenant stream allows.
-    Each monitor gets its own array so both transports move the bytes they
-    would move in production.
-    """
+    """Distinct per-monitor streams (same drift shape, rotated), so every
+    monitor's detections are its own."""
     base = binary_error_stream(
         [BinarySegment(1_024, 0.1), BinarySegment(1_024, 0.55)], seed=13
     ).values
@@ -92,11 +82,10 @@ def _run_hub(hub, values) -> dict:
     return detections
 
 
-def _run_sharded(transport, values) -> "tuple[dict, float]":
-    hub = ShardedHub(_N_SHARDS, transport=transport)
+def _run_sharded(values) -> "tuple[dict, float]":
+    hub = ShardedHub(_N_SHARDS)
     try:
         _register_fleet(hub)
-        assert hub.transport == transport
         start = time.perf_counter()
         detections = _run_hub(hub, values)
         seconds = time.perf_counter() - start
@@ -116,21 +105,16 @@ def test_sharded_hub_vs_single_process_hub(benchmark, report):
     single_detections = _run_hub(single_hub, values)
     single_seconds = time.perf_counter() - start
 
-    pickle_detections, pickle_seconds = _run_sharded("pickle", values)
-
-    def _shm_run():
-        return _run_sharded("shm", values)
-
-    shm_detections, shm_seconds = run_once(benchmark, _shm_run)
+    sharded_detections, sharded_seconds = run_once(
+        benchmark, lambda: _run_sharded(values)
+    )
 
     # Same events, same per-monitor order: detections must be bit-identical
-    # across the process boundary AND across transports.
-    assert pickle_detections == single_detections
-    assert shm_detections == single_detections
-    assert sum(len(v) for v in shm_detections.values()) > 0
+    # across the process boundary.
+    assert sharded_detections == single_detections
+    assert sum(len(v) for v in sharded_detections.values()) > 0
 
-    speedup_shm = single_seconds / max(shm_seconds, 1e-9)
-    speedup_transport = pickle_seconds / max(shm_seconds, 1e-9)
+    speedup = single_seconds / max(sharded_seconds, 1e-9)
     rows = [
         ["path", "wall-clock", "monitors x events/sec"],
         [
@@ -139,17 +123,11 @@ def test_sharded_hub_vs_single_process_hub(benchmark, report):
             f"{n_events / single_seconds:,.0f}",
         ],
         [
-            f"sharded ingest, pickle transport ({_N_SHARDS} shards)",
-            f"{pickle_seconds:.2f} s",
-            f"{n_events / pickle_seconds:,.0f}",
+            f"sharded ingest ({_N_SHARDS} shards)",
+            f"{sharded_seconds:.2f} s",
+            f"{n_events / sharded_seconds:,.0f}",
         ],
-        [
-            f"sharded ingest, shm transport ({_N_SHARDS} shards)",
-            f"{shm_seconds:.2f} s",
-            f"{n_events / shm_seconds:,.0f}",
-        ],
-        ["shm vs single-process", f"{speedup_shm:.2f}x", ""],
-        ["shm vs pickle transport", f"{speedup_transport:.2f}x", ""],
+        ["sharded vs single-process", f"{speedup:.2f}x", ""],
     ]
     report(
         "serving_sharded",
@@ -159,16 +137,10 @@ def test_sharded_hub_vs_single_process_hub(benchmark, report):
         f"{[name for name, _ in _DETECTOR_MIX]}\n"
         + format_table(rows[0], rows[1:]),
     )
-    # The transport comparison is core-count independent: shm removes
-    # serialization work from the same critical path on any machine.
-    assert speedup_transport > 1.0, (
-        f"shm transport slower than pickle: {shm_seconds:.2f}s vs "
-        f"{pickle_seconds:.2f}s"
-    )
     # Parallel scaling needs cores; on a single-core host the sharded hub
     # pays IPC + context switches with nothing to parallelise onto.
     if n_cores >= 2:
-        assert speedup_shm >= 1.2, (
-            f"sharded hub only {speedup_shm:.2f}x over single-process on "
+        assert speedup >= 1.2, (
+            f"sharded hub only {speedup:.2f}x over single-process on "
             f"{n_cores} cores"
         )

@@ -1,15 +1,15 @@
 """``deprecated-symbol`` — internal code may not use deprecated symbols.
 
 A symbol is deprecated when its docstring contains a ``.. deprecated::``
-directive (the convention :func:`repro.serving.sharded.route_shard` started).
-Deprecation is a promise to *external* callers that the symbol keeps working;
-internal callers get no such grace — they are what makes the symbol
-impossible to ever delete.  The rule collects every deprecated function and
-class in the scanned tree, then flags imports and references from any other
-module.
+directive.  Deprecation is a promise to *external* callers that the symbol
+keeps working; internal callers get no such grace — they are what makes the
+symbol impossible to ever delete.  The rule collects every deprecated
+function and class in the scanned tree, then flags imports and references
+from any other module.
 
-Legitimate internal appearances — the compatibility re-export in
-``serving/__init__.py`` — carry a suppression with the reason spelled out.
+Legitimate internal appearances — say, a package ``__init__`` re-exporting
+the symbol for external callers — carry a suppression with the reason
+spelled out.
 """
 
 from __future__ import annotations

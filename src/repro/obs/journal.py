@@ -2,8 +2,8 @@
 
 Counters say *how often* something happened; the journal says *what happened,
 in what order, right before the incident*: shard respawns, reshard phase
-transitions, webhook circuit-breaker trips, WAL segment rotations, transport
-fallbacks, slow-flush threshold breaches.  Events live in a bounded
+transitions, webhook circuit-breaker trips, WAL segment rotations, worker
+timeout kills, slow-flush threshold breaches.  Events live in a bounded
 in-memory ring (queryable via the server's ``events`` wire op) and can be
 mirrored to a JSON-lines file so the record survives the process.
 
@@ -24,7 +24,17 @@ from typing import Any, Deque, Dict, List, Optional, Union
 
 from repro.exceptions import ConfigurationError
 
-__all__ = ["EventJournal"]
+__all__ = ["EventJournal", "check_limit"]
+
+
+def check_limit(limit: Optional[int]) -> None:
+    """Reject a result ``limit`` below 1 (``None`` means no limit).
+
+    ``events[-0:]`` is the whole list, so a zero limit would silently
+    return everything instead of nothing.
+    """
+    if limit is not None and limit < 1:
+        raise ConfigurationError(f"limit must be >= 1, got {limit}")
 
 
 class EventJournal:
@@ -89,14 +99,18 @@ class EventJournal:
     def events(
         self, limit: Optional[int] = None, kind: Optional[str] = None
     ) -> List[Dict[str, Any]]:
-        """The retained events, oldest first, optionally filtered by kind."""
+        """The retained events, oldest first, optionally filtered by kind.
+
+        ``limit`` keeps the newest ``limit`` matches and must be positive.
+        """
+        check_limit(limit)
         with self._lock:
             selected = [
                 dict(event)
                 for event in self._events
                 if kind is None or event["kind"] == kind
             ]
-        if limit is not None and limit >= 0:
+        if limit is not None:
             selected = selected[-limit:]
         return selected
 

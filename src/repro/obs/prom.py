@@ -484,11 +484,11 @@ def _emit_hub_body(
 def hub_exposition(hub: Any) -> str:
     """Render a hub (single-process or sharded) as Prometheus text.
 
-    Duck-typed the way the TCP server distinguishes the two hub shapes
-    (a sharded hub has ``drain_alerts``): a sharded cluster emits its merged
-    totals as ``repro_hub_*`` plus every live shard's counters as
-    ``repro_shard_*{shard="N"}``, with per-detector-class histograms merged
-    across shards.
+    Both hubs answer ``stats()`` / ``metrics()`` / ``journal`` alike; a
+    sharded cluster's ``metrics()`` additionally lists its live shards, so
+    it emits its merged totals as ``repro_hub_*`` plus every live shard's
+    counters as ``repro_shard_*{shard="N"}``, with per-detector-class
+    histograms merged across shards.
     """
     out = _Exposition()
     stats = hub.stats()
@@ -514,12 +514,11 @@ def hub_exposition(hub: Any) -> str:
         timings = metrics.get("detector_update")
         if timings:
             _emit_update_timings(out, timings)
-    journal = getattr(hub, "journal", None)
-    if journal is not None:
-        name = "repro_journal_events_total"
-        out.family(name, "counter", "operational journal events by kind")
-        counts = journal.counts()
-        for kind in sorted(counts):
-            out.sample(name, {"kind": kind}, counts[kind])
-        _emit_counters(out, "repro_hub", journal.stats())
+    journal = hub.journal
+    name = "repro_journal_events_total"
+    out.family(name, "counter", "operational journal events by kind")
+    counts = journal.counts()
+    for kind in sorted(counts):
+        out.sample(name, {"kind": kind}, counts[kind])
+    _emit_counters(out, "repro_hub", journal.stats())
     return out.render()

@@ -9,8 +9,8 @@ positions drift detectors for:
   :meth:`repro.core.base.DriftDetector.state_dict`;
 * :mod:`repro.serving.hub` — :class:`MonitorHub`, a registry of
   ``(tenant, monitor_id) → detector`` entries with batched ingestion through
-  the vectorised ``update_batch`` fast paths and atomic whole-hub
-  checkpointing;
+  the vectorised ``update_batch`` fast paths, a bounded alert buffer
+  (``drain_alerts``) and atomic whole-hub checkpointing;
 * :mod:`repro.serving.sinks` — pluggable alert sinks (callback, in-memory
   queue, JSON-lines audit log, retrying webhook) fired on warning/drift
   transitions;
@@ -22,7 +22,8 @@ positions drift detectors for:
   ``metrics`` op;
 * :mod:`repro.serving.server` — an asyncio JSON-lines TCP server
   (``python -m repro.serving``) so external processes can stream error
-  values at high throughput;
+  values at high throughput; it fronts either hub through the one surface
+  both implement;
 * :mod:`repro.serving.sharded` — :class:`ShardedHub`, the same registry
   partitioned across N shared-nothing worker processes (slot-based BLAKE2b
   routing over a manifest-carried assignment table, live ``reshard(n)``,
@@ -30,12 +31,14 @@ positions drift detectors for:
   manifest, kill-and-respawn recovery) for multi-core scale-out
   (``python -m repro.serving --shards N``).
 
+Checkpoints and cluster manifests are read at their current schema
+version only (``HUB_SCHEMA_VERSION``, ``MANIFEST_SCHEMA_VERSION``); an
+older document raises :class:`~repro.exceptions.SnapshotError`.
+
 See ``docs/serving.md`` for the hub lifecycle, the checkpoint format, the
 sharding model, and the wire protocol, and ``examples/live_monitoring.py``
 for the daemon-style usage pattern.
 """
-
-# repro: allow-file(deprecated-symbol) -- route_shard is re-exported here for external backwards compatibility only; internal code routes through route_slot and the manifest-carried slot table (PR 7)
 
 from repro.serving.hub import (
     CHECKPOINT_FILENAME,
@@ -50,7 +53,6 @@ from repro.serving.sharded import (
     N_SLOTS,
     ShardedHub,
     default_slot_assignment,
-    route_shard,
     route_slot,
 )
 from repro.serving.metrics import LatencyWindow, RateMeter
@@ -77,7 +79,6 @@ __all__ = [
     "ObserveResult",
     "ServingServer",
     "ShardedHub",
-    "route_shard",
     "route_slot",
     "default_slot_assignment",
     "N_SLOTS",

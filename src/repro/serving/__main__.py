@@ -29,14 +29,14 @@ import contextlib
 import signal
 import sys
 from pathlib import Path
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
 from repro.obs.httpd import MetricsServer
 from repro.obs.journal import EventJournal
 from repro.obs.prom import hub_exposition
 from repro.obs.trace import Tracer, write_chrome_trace
 from repro.serving.hub import MonitorHub
-from repro.serving.server import ServingServer
+from repro.serving.server import Hub, ServingServer
 from repro.serving.sharded import ShardedHub
 from repro.serving.sinks import JsonlAuditSink, WebhookSink
 
@@ -109,14 +109,6 @@ def build_parser() -> argparse.ArgumentParser:
         "(with --shards: one file per shard, suffixed .shard-NN)",
     )
     parser.add_argument(
-        "--transport",
-        choices=("shm", "pickle"),
-        default="shm",
-        help="with --shards: ingest fan-out transport — 'shm' stages float "
-        "batches in per-shard shared memory (zero-copy in the workers), "
-        "'pickle' sends them through the worker pipes",
-    )
-    parser.add_argument(
         "--request-timeout",
         type=float,
         default=None,
@@ -163,7 +155,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def build_hub(args: argparse.Namespace) -> Union[MonitorHub, ShardedHub]:
+def build_hub(args: argparse.Namespace) -> Hub:
     """Construct the hub the server fronts (sharded when ``--shards`` > 0).
 
     Called *before* the event loop starts so shard workers never fork from a
@@ -191,7 +183,6 @@ def build_hub(args: argparse.Namespace) -> Union[MonitorHub, ShardedHub]:
             webhook=args.webhook,
             webhook_dead_letter=args.webhook_dead_letter,
             request_timeout=timeout,
-            transport=args.transport,
             tracer=tracer,
             journal=journal,
         )
@@ -208,22 +199,18 @@ def build_hub(args: argparse.Namespace) -> Union[MonitorHub, ShardedHub]:
                 ),
             )
         )
-    # The server attaches its alert queue after construction, so WAL replay
-    # is deferred (wal_auto_replay=False); ServingServer triggers it once
-    # every sink is in place.
     return MonitorHub(
         checkpoint_dir=args.checkpoint_dir,
         sinks=sinks,
         checkpoint_every=args.checkpoint_every,
         wal_dir=args.wal_dir,
         wal_fsync=args.wal_fsync,
-        wal_auto_replay=False,
         tracer=tracer,
         journal=journal,
     )
 
 
-async def run(args: argparse.Namespace, hub: Union[MonitorHub, ShardedHub]) -> int:
+async def run(args: argparse.Namespace, hub: Hub) -> int:
     server = ServingServer(hub, host=args.host, port=args.port, trace_dir=args.trace_dir)
     await server.start()
 

@@ -28,10 +28,14 @@ Design points:
   wal.AlertWal`) *before* any sink sees it, each alert carrying a monotonic
   per-monitor sequence number that also lives in the checkpoint schema.  A
   restarted hub replays the WAL tail past its checkpoint to its sinks
-  (:meth:`replay_wal`, flagged ``redelivered``) and suppresses the live
+  (flagged ``redelivered``) during construction and suppresses the live
   re-fires a producer's replay regenerates — ``kill -9`` loses no alert and
   delivers none twice (see ``docs/serving.md``, "Durability & delivery
   semantics", and ``tests/integration/test_wal_crash_matrix.py``).
+* **Alert buffer** — every hub also delivers its alerts to a bounded
+  in-memory queue that :meth:`MonitorHub.drain_alerts` empties; this is
+  what the TCP server's ``alerts`` op returns, with the same signature as
+  :meth:`~repro.serving.sharded.ShardedHub.drain_alerts`.
 """
 
 from __future__ import annotations
@@ -63,7 +67,7 @@ from repro.obs.journal import EventJournal
 from repro.obs.prom import UpdateTimings
 from repro.obs.trace import SpanHandle, TraceContext, Tracer
 from repro.serving.metrics import LatencyWindow, RateMeter
-from repro.serving.sinks import AlertSink, DriftAlert
+from repro.serving.sinks import AlertSink, DriftAlert, QueueSink
 from repro.serving.snapshot import (
     atomic_write_json,
     build_detector,
@@ -73,18 +77,25 @@ from repro.serving.snapshot import (
 )
 from repro.serving.wal import AlertWal
 
-__all__ = ["MonitorHub", "ObserveResult", "HUB_SCHEMA_VERSION", "CHECKPOINT_FILENAME"]
+__all__ = [
+    "MonitorHub",
+    "ObserveResult",
+    "ALERT_BUFFER_LIMIT",
+    "HUB_SCHEMA_VERSION",
+    "CHECKPOINT_FILENAME",
+]
 
 logger = logging.getLogger(__name__)
 
-#: Version of the hub checkpoint document schema.  Version 2 added the
-#: per-monitor ``alert_seq`` counter (the WAL replay watermark); version-1
-#: checkpoints are still readable (their counters restore as zero, which is
-#: correct — they predate the WAL).
+#: Version of the hub checkpoint document schema (the only one restore
+#: reads).  Version 2 added the per-monitor ``alert_seq`` counter (the WAL
+#: replay watermark).
 HUB_SCHEMA_VERSION = 2
 
-#: Checkpoint schema versions :meth:`MonitorHub._restore_from` accepts.
-_READABLE_SCHEMA_VERSIONS = (1, 2)
+#: Capacity of a hub's alert buffer (:meth:`MonitorHub.drain_alerts`).
+#: Bounded so a deployment that never drains keeps only the most recent
+#: transitions instead of accumulating forever.
+ALERT_BUFFER_LIMIT = 10_000
 
 #: File name of the hub checkpoint inside ``checkpoint_dir``.
 CHECKPOINT_FILENAME = "hub-checkpoint.json"
@@ -194,6 +205,33 @@ def _group_key(detector: DriftDetector) -> str:
     )
 
 
+def _monitor_record(entry: _MonitorEntry) -> Dict[str, Any]:
+    """One monitor in the checkpoint's ``monitors`` schema (also the
+    relocation record of :meth:`MonitorHub.export_monitors`)."""
+    return {
+        "tenant": entry.tenant,
+        "monitor_id": entry.monitor_id,
+        "in_warning": entry.in_warning,
+        "alert_seq": entry.alert_seq,
+        "snapshot": snapshot_detector(entry.detector),
+    }
+
+
+def _monitor_entry(record: Mapping[str, Any]) -> _MonitorEntry:
+    """Restore one :func:`_monitor_record` bit-exactly.
+
+    Raises ``KeyError`` / ``TypeError`` / ``ValueError`` on a malformed
+    record; callers wrap them in :class:`SnapshotError`.
+    """
+    return _MonitorEntry(
+        str(record["tenant"]),
+        str(record["monitor_id"]),
+        restore_detector(record["snapshot"]),
+        in_warning=bool(record["in_warning"]),
+        alert_seq=int(record["alert_seq"]),
+    )
+
+
 class MonitorHub:
     """Registry and execution engine for many concurrent drift monitors.
 
@@ -203,7 +241,8 @@ class MonitorHub:
         Directory for hub checkpoints.  When it already holds a checkpoint,
         the hub resumes from it (pass ``resume=False`` to start fresh).
     sinks:
-        Alert sinks notified of warning/drift transitions.
+        Alert sinks notified of warning/drift transitions.  The hub's own
+        alert buffer (:meth:`drain_alerts`) is delivered to after them.
     checkpoint_every:
         Automatically checkpoint after this many observed values (across all
         monitors); ``None`` disables automatic checkpointing.
@@ -211,7 +250,8 @@ class MonitorHub:
         Directory of the durable alert write-ahead log (``None`` disables
         the WAL).  With a WAL, every alert and per-monitor ingest watermark
         is logged before sinks fire, and a resumed hub re-delivers the
-        post-checkpoint alert tail to its sinks exactly once.
+        post-checkpoint alert tail to its sinks (and its alert buffer)
+        exactly once, during construction.
     wal_fsync:
         WAL durability mode — ``"batch"`` (default; one fsync per
         ``ingest``/``observe`` flush), ``"always"`` (per record), or
@@ -219,11 +259,6 @@ class MonitorHub:
     wal_segment_bytes, wal_retain_segments:
         Segment rotation size and history retention of the WAL (see
         :class:`~repro.serving.wal.AlertWal`).
-    wal_auto_replay:
-        Replay the WAL tail to the constructor-provided ``sinks`` during
-        construction (the library default).  Front-ends that attach sinks
-        *after* construction (the TCP server's alert queue) pass ``False``
-        and call :meth:`replay_wal` once their sinks are in place.
     tracer:
         A :class:`~repro.obs.trace.Tracer`; defaults to a disabled one
         (``sample_rate=0``), so tracing costs one predicate per call site
@@ -253,7 +288,6 @@ class MonitorHub:
         wal_fsync: str = "batch",
         wal_segment_bytes: int = 4 * 1024 * 1024,
         wal_retain_segments: int = 8,
-        wal_auto_replay: bool = True,
         tracer: Optional[Tracer] = None,
         journal: Optional[EventJournal] = None,
         slow_flush_ms: Optional[float] = None,
@@ -269,7 +303,10 @@ class MonitorHub:
                 "periodic checkpoints would silently never be written"
             )
         self._checkpoint_dir = Path(checkpoint_dir) if checkpoint_dir else None
-        self._sinks: List[AlertSink] = list(sinks)
+        # The buffer exists before the WAL replay below, so the redelivered
+        # tail lands in it too.
+        self._alerts = QueueSink(maxlen=ALERT_BUFFER_LIMIT)
+        self._sinks: List[AlertSink] = [*sinks, self._alerts]
         self._checkpoint_every = checkpoint_every
         self._entries: Dict[_MonitorKey, _MonitorEntry] = {}
         #: group key → monitor keys, in registration order; flush order of
@@ -313,7 +350,6 @@ class MonitorHub:
             if path.is_file():
                 self._restore_from(path)
         self._wal: Optional[AlertWal] = None
-        self._wal_replay_pending = False
         if wal_dir is not None:
             self._wal = AlertWal(
                 wal_dir,
@@ -323,9 +359,7 @@ class MonitorHub:
                 on_rotate=self._on_wal_rotate,
             )
             if resume:
-                self._wal_replay_pending = True
-                if wal_auto_replay:
-                    self.replay_wal()
+                self._replay_wal(self._wal)
 
     # ---------------------------------------------------------- registration
 
@@ -336,15 +370,18 @@ class MonitorHub:
         detector: Union[str, DriftDetector] = "OPTWIN",
         params: Optional[Mapping[str, Any]] = None,
         exist_ok: bool = False,
-    ) -> DriftDetector:
-        """Register a monitor and return its detector.
+    ) -> Dict[str, Any]:
+        """Register a monitor; return ``{"detector": <class name>, "n_seen": n}``.
 
         ``detector`` is a registry name (e.g. ``"OPTWIN"``, ``"Adwin"``)
         built with ``params`` as constructor kwargs, or a ready-made
         :class:`DriftDetector` instance.  Registering an existing key raises
-        unless ``exist_ok`` is set, in which case the existing detector is
-        returned when the requested configuration matches (the idempotent
-        re-register of a client reconnecting after a hub restart).
+        unless ``exist_ok`` is set, in which case the existing monitor is
+        kept when the requested configuration matches (the idempotent
+        re-register of a client reconnecting after a hub restart).  The
+        return value is :meth:`ShardedHub.register
+        <repro.serving.sharded.ShardedHub.register>`'s; :meth:`detector`
+        returns the live detector object.
         """
         key = (str(tenant), str(monitor_id))
         if isinstance(detector, DriftDetector):
@@ -366,11 +403,14 @@ class MonitorHub:
                     f"monitor {key[0]}/{key[1]} exists with a different "
                     "detector configuration"
                 )
-            return existing.detector
-        entry = _MonitorEntry(key[0], key[1], candidate)
-        self._entries[key] = entry
-        self._groups.setdefault(entry.group_key, []).append(key)
-        return candidate
+            entry = existing
+        else:
+            entry = _MonitorEntry(key[0], key[1], candidate)
+            self._add_entry(entry)
+        return {
+            "detector": type(entry.detector).__name__,
+            "n_seen": entry.detector.n_seen,
+        }
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -395,9 +435,10 @@ class MonitorHub:
             )
         return entry
 
-    def add_sink(self, sink: AlertSink) -> None:
-        """Attach an additional alert sink."""
-        self._sinks.append(sink)
+    def _add_entry(self, entry: _MonitorEntry) -> None:
+        key = (entry.tenant, entry.monitor_id)
+        self._entries[key] = entry
+        self._groups.setdefault(entry.group_key, []).append(key)
 
     # ------------------------------------------------------------ relocation
 
@@ -414,19 +455,10 @@ class MonitorHub:
         state hand-off underneath :meth:`~repro.serving.sharded.ShardedHub.
         reshard`.
         """
-        records: List[Dict[str, Any]] = []
-        for tenant, monitor_id in keys:
-            entry = self._entry(tenant, monitor_id)
-            records.append(
-                {
-                    "tenant": entry.tenant,
-                    "monitor_id": entry.monitor_id,
-                    "in_warning": entry.in_warning,
-                    "alert_seq": entry.alert_seq,
-                    "snapshot": snapshot_detector(entry.detector),
-                }
-            )
-        return records
+        return [
+            _monitor_record(self._entry(tenant, monitor_id))
+            for tenant, monitor_id in keys
+        ]
 
     def import_monitors(self, records: Iterable[Dict[str, Any]]) -> int:
         """Adopt monitors exported from another hub; return the count.
@@ -449,24 +481,14 @@ class MonitorHub:
                 )
         for record in records:
             try:
-                detector = restore_detector(record["snapshot"])
-                entry = _MonitorEntry(
-                    str(record["tenant"]),
-                    str(record["monitor_id"]),
-                    detector,
-                    in_warning=bool(record["in_warning"]),
-                    alert_seq=int(record.get("alert_seq", 0)),
-                )
+                entry = _monitor_entry(record)
             except (KeyError, TypeError, ValueError) as exc:
                 raise SnapshotError(f"corrupt monitor export record: {exc}") from exc
-            key = (entry.tenant, entry.monitor_id)
-            self._entries[key] = entry
-            self._groups.setdefault(entry.group_key, []).append(key)
-            self._n_events += detector.n_seen
+            self._add_entry(entry)
+            n_seen = entry.detector.n_seen
+            self._n_events += n_seen
             if self._wal is not None:
-                self._wal.append_watermark(
-                    entry.tenant, entry.monitor_id, detector.n_seen
-                )
+                self._wal.append_watermark(entry.tenant, entry.monitor_id, n_seen)
         if records:
             self._commit_wal()
         return len(records)
@@ -786,62 +808,60 @@ class MonitorHub:
 
     # ------------------------------------------------------------ WAL replay
 
-    @property
-    def wal_replay_pending(self) -> bool:
-        """True while a restored WAL tail has not yet been replayed."""
-        return self._wal_replay_pending
-
-    def replay_wal(self) -> int:
+    def _replay_wal(self, wal: AlertWal) -> None:
         """Re-deliver the WAL's post-checkpoint alert tail to the sinks.
 
-        Every WAL alert whose sequence number exceeds both the restored
-        checkpoint's ``alert_seq`` and the log's delivered-through marker is
-        emitted once more, flagged ``redelivered=True``, in original append
-        order.  A delivered-through marker is then appended (bounding the
-        duplication window of a crash *during* replay), and the replayed
-        numbers become suppression floors for the live re-fires a producer's
-        replay-from-watermark regenerates.  Idempotent: the second call (and
-        a hub without a WAL) returns 0 without delivering anything.
+        Runs once, from the constructor of a resumed hub.  Every WAL alert
+        whose sequence number exceeds both the restored checkpoint's
+        ``alert_seq`` and the log's delivered-through marker is emitted once
+        more, flagged ``redelivered=True``, in original append order.  A
+        delivered-through marker is then appended (bounding the duplication
+        window of a crash *during* replay), and the replayed numbers become
+        suppression floors for the live re-fires a producer's
+        replay-from-watermark regenerates.
         """
-        if self._wal is None or not self._wal_replay_pending:
-            return 0
-        self._wal_replay_pending = False
         replayed: Dict[_MonitorKey, int] = {}
-        n = 0
-        for record in self._wal.iter_alerts():
+        for record in wal.iter_alerts():
             key = (str(record.get("tenant")), str(record.get("monitor_id")))
             seq = int(record.get("seq", 0))
             floor = max(
                 self._checkpoint_seq.get(key, 0),
-                self._wal.delivered_through(*key),
+                wal.delivered_through(*key),
                 replayed.get(key, 0),
             )
             if seq <= floor:
                 continue
             self._emit(DriftAlert.from_dict(record).as_redelivery())
             replayed[key] = seq
-            n += 1
+            self._n_wal_replayed += 1
         for (tenant, monitor_id), seq in replayed.items():
-            self._wal.append_delivered(tenant, monitor_id, seq)
-        self._wal.commit()
+            wal.append_delivered(tenant, monitor_id, seq)
+        wal.commit()
         # Suppression floors cover everything any process ever delivered:
         # pre-checkpoint live deliveries, prior processes' replays (the
         # delivered markers), and this replay.
         floors: Dict[_MonitorKey, int] = dict(self._checkpoint_seq)
-        for key in self._wal.watermarks():
+        for key in wal.watermarks():
             # Watermark keys enumerate every monitor the WAL ever saw.
             floors.setdefault(key, 0)
         for key in list(floors):
             floors[key] = max(
                 floors[key],
-                self._wal.delivered_through(*key),
+                wal.delivered_through(*key),
                 replayed.get(key, 0),
             )
         for key, seq in replayed.items():
             floors[key] = max(floors.get(key, 0), seq)
         self._replayed_through = {k: v for k, v in floors.items() if v > 0}
-        self._n_wal_replayed += n
-        return n
+
+    def drain_alerts(self) -> Tuple[List[DriftAlert], int]:
+        """Drain the hub's alert buffer; return ``(alerts, n_dropped)``.
+
+        Alerts come back in emission order, WAL redeliveries of a resumed
+        hub first.  ``n_dropped`` is the lifetime count of alerts evicted
+        because the buffer held :data:`ALERT_BUFFER_LIMIT` undrained ones.
+        """
+        return self._alerts.drain(), self._alerts.n_dropped
 
     def wal_watermarks(self) -> Dict[_MonitorKey, int]:
         """Highest WAL-recorded ``n_seen`` per monitor (empty without a WAL).
@@ -1038,42 +1058,32 @@ class MonitorHub:
         """The WAL's identity head (for the cluster manifest); ``None`` without one."""
         return self._wal.head() if self._wal is not None else None
 
-    def checkpoint(self, directory: Optional[Union[str, Path]] = None) -> Path:
+    def checkpoint(self) -> Path:
         """Atomically write the full hub state; return the checkpoint path.
 
         The document is strict JSON with a ``schema_version`` field, one
         bit-exact detector snapshot per monitor (including its ``alert_seq``
         replay watermark), and the composition hash.  The write goes to a
-        temp file in the target directory followed by ``os.replace``, so a
+        temp file in ``checkpoint_dir`` followed by ``os.replace``, so a
         crash mid-write never corrupts the previous checkpoint.  The WAL (if
         any) is committed first — its durable state always covers the
         checkpoint — and pruned after, since a successful checkpoint makes
         every logged alert replay-unnecessary (retention beyond that is the
         ``alerts_history`` depth).
         """
-        target_dir = Path(directory) if directory else self._checkpoint_dir
-        if target_dir is None:
+        if self._checkpoint_dir is None:
             raise ConfigurationError(
-                "no checkpoint directory configured; pass one to checkpoint()"
+                "no checkpoint directory configured; pass one to MonitorHub()"
             )
         self._commit_wal()
-        target_dir.mkdir(parents=True, exist_ok=True)
+        self._checkpoint_dir.mkdir(parents=True, exist_ok=True)
         document = {
             "schema_version": HUB_SCHEMA_VERSION,
             "config_hash": self.composition_hash(),
             "n_events": self._n_events,
-            "monitors": [
-                {
-                    "tenant": entry.tenant,
-                    "monitor_id": entry.monitor_id,
-                    "in_warning": entry.in_warning,
-                    "alert_seq": entry.alert_seq,
-                    "snapshot": snapshot_detector(entry.detector),
-                }
-                for entry in self._entries.values()
-            ],
+            "monitors": [_monitor_record(entry) for entry in self._entries.values()],
         }
-        path = atomic_write_json(target_dir / CHECKPOINT_FILENAME, document)
+        path = atomic_write_json(self._checkpoint_dir / CHECKPOINT_FILENAME, document)
         self._events_since_checkpoint = 0
         if self._wal is not None:
             self._wal.prune()
@@ -1093,28 +1103,24 @@ class MonitorHub:
         except (OSError, json.JSONDecodeError) as exc:
             raise SnapshotError(f"cannot read hub checkpoint {path}: {exc}") from exc
         version = document.get("schema_version")
-        if version not in _READABLE_SCHEMA_VERSIONS:
+        if version != HUB_SCHEMA_VERSION:
             raise SnapshotError(
                 f"hub checkpoint schema version {version!r} is not supported "
-                f"(expected one of {_READABLE_SCHEMA_VERSIONS})"
+                f"(expected {HUB_SCHEMA_VERSION})"
             )
         try:
             self._n_events = int(document["n_events"])
             for record in document["monitors"]:
-                detector = restore_detector(record["snapshot"])
-                entry = _MonitorEntry(
-                    str(record["tenant"]),
-                    str(record["monitor_id"]),
-                    detector,
-                    in_warning=bool(record["in_warning"]),
-                    alert_seq=int(record.get("alert_seq", 0)),
-                )
-                key = (entry.tenant, entry.monitor_id)
-                self._entries[key] = entry
-                self._groups.setdefault(entry.group_key, []).append(key)
-                self._checkpoint_seq[key] = entry.alert_seq
+                entry = _monitor_entry(record)
+                self._add_entry(entry)
+                self._checkpoint_seq[(entry.tenant, entry.monitor_id)] = entry.alert_seq
         except (KeyError, TypeError, ValueError) as exc:
             raise SnapshotError(f"corrupt hub checkpoint {path}: {exc}") from exc
+
+    def reshard(self, n_shards: int) -> Dict[str, Any]:
+        """Always raises: only a :class:`~repro.serving.sharded.ShardedHub`
+        can change its worker count (the server's ``reshard`` op)."""
+        raise ConfigurationError("hub is not sharded; reshard needs --shards")
 
     def close(self) -> None:
         """Close the WAL, all attached sinks, and the hub-owned journal."""

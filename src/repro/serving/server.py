@@ -28,8 +28,8 @@ Supported operations::
 
 ``observe`` responds with lifetime stream positions (``drifts`` /
 ``warnings``) and the monitor's counters, so a client can react to a drift
-from the response alone; the ``alerts`` op additionally drains the server's
-internal queue sink for clients that poll transitions out of band.
+from the response alone; the ``alerts`` op additionally drains the hub's
+alert buffer for clients that poll transitions out of band.
 
 Hub operations run on a dedicated single-thread executor rather than inline
 on the event loop: the WAL fsyncs and checkpoint writes inside ``observe`` /
@@ -52,14 +52,13 @@ from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from typing import Any, Dict, Optional, Union
 
-from repro.core.base import DriftDetector
 from repro.exceptions import ReproError
 from repro.obs.prom import hub_exposition
 from repro.obs.trace import chrome_trace, write_chrome_trace
 from repro.serving.hub import MonitorHub
-from repro.serving.sinks import QueueSink
+from repro.serving.sharded import ShardedHub
 
-__all__ = ["ServingServer", "MAX_LINE_BYTES"]
+__all__ = ["ServingServer", "Hub", "MAX_LINE_BYTES"]
 
 logger = logging.getLogger(__name__)
 
@@ -67,23 +66,19 @@ logger = logging.getLogger(__name__)
 #: 16 MiB fits chunks of ~1M values.
 MAX_LINE_BYTES = 16 * 1024 * 1024
 
-#: Capacity of the server's internal alert buffer (the ``alerts`` op drains
-#: it).  Bounded so a deployment whose clients never poll ``alerts`` keeps
-#: only the most recent transitions instead of accumulating forever.
-ALERT_BUFFER_LIMIT = 10_000
+#: The hubs a server can front.  Both answer every call the server makes
+#: with the same return shapes, so the server never tells them apart.
+Hub = Union[MonitorHub, ShardedHub]
 
 
 class ServingServer:
-    """JSON-lines TCP front-end over a :class:`MonitorHub`.
+    """JSON-lines TCP front-end over a hub.
 
     Parameters
     ----------
     hub:
-        The hub to serve — a single-process :class:`MonitorHub` (a
-        :class:`QueueSink` is attached so the ``alerts`` op can hand out
-        buffered transitions) or a multi-process ``ShardedHub`` (which buffers
-        alerts in its workers; the server drains them via
-        ``hub.drain_alerts()``).
+        The hub to serve — a single-process :class:`MonitorHub` or a
+        multi-process :class:`~repro.serving.sharded.ShardedHub`.
     host, port:
         Listen address.  Port ``0`` binds an ephemeral port; read the actual
         one from :attr:`port` after :meth:`start`.
@@ -95,7 +90,7 @@ class ServingServer:
 
     def __init__(
         self,
-        hub: MonitorHub,
+        hub: Hub,
         host: str = "127.0.0.1",
         port: int = 7737,
         trace_dir: Optional[Union[str, Path]] = None,
@@ -105,17 +100,6 @@ class ServingServer:
         self._requested_port = port
         self._trace_dir = Path(trace_dir) if trace_dir else None
         self._n_trace_dumps = 0
-        if hasattr(hub, "drain_alerts"):
-            # Sharded hub: alerts buffer inside the shard workers.
-            self._alert_queue: Optional[QueueSink] = None
-        else:
-            self._alert_queue = QueueSink(maxlen=ALERT_BUFFER_LIMIT)
-            hub.add_sink(self._alert_queue)
-            if getattr(hub, "wal_replay_pending", False):
-                # The hub deferred its WAL replay (wal_auto_replay=False)
-                # so the post-checkpoint alert tail lands in the queue the
-                # ``alerts`` op drains, not in a pre-server void.
-                hub.replay_wal()
         self._server: Optional[asyncio.AbstractServer] = None
         # Dispatch offload: one worker thread, created on start().  A single
         # worker is load-bearing — it serialises all hub mutations (the
@@ -124,7 +108,7 @@ class ServingServer:
         self._dispatch_executor: Optional[ThreadPoolExecutor] = None
 
     @property
-    def hub(self) -> MonitorHub:
+    def hub(self) -> Hub:
         """The hub this server fronts."""
         return self._hub
 
@@ -259,11 +243,7 @@ class ServingServer:
                 ),
             }
         if op == "alerts":
-            if self._alert_queue is not None:
-                alerts = self._alert_queue.drain()
-                n_dropped = self._alert_queue.n_dropped
-            else:
-                alerts, n_dropped = self._hub.drain_alerts()
+            alerts, n_dropped = self._hub.drain_alerts()
             return {
                 "ok": True,
                 "alerts": [alert.to_dict() for alert in alerts],
@@ -277,7 +257,7 @@ class ServingServer:
                     monitor_id=request.get("monitor"),
                     since=request.get("since"),
                     until=request.get("until"),
-                    limit=int(request.get("limit", 1000)),
+                    limit=_as_limit(request.get("limit", 1000)),
                 ),
             }
         if op == "metrics":
@@ -291,7 +271,7 @@ class ServingServer:
             return {
                 "ok": True,
                 "events": self._hub.journal_events(
-                    limit=int(limit) if limit is not None else None,
+                    limit=None if limit is None else _as_limit(limit),
                     kind=request.get("kind"),
                 ),
             }
@@ -329,10 +309,9 @@ class ServingServer:
 
         The reshard runs on the single dispatch thread (like every other
         hub op): no ingest can interleave with the migration, which is
-        exactly the quiesce the protocol needs.
+        exactly the quiesce the protocol needs.  A single-process hub
+        refuses with a ``ConfigurationError`` (an ``ok: false`` response).
         """
-        if not hasattr(self._hub, "reshard"):
-            return {"ok": False, "error": "hub is not sharded; reshard needs --shards"}
         shards = request.get("shards")
         if not isinstance(shards, int) or isinstance(shards, bool) or shards < 1:
             return {"ok": False, "error": "reshard needs 'shards': a positive integer"}
@@ -347,18 +326,12 @@ class ServingServer:
             params=request.get("params"),
             exist_ok=bool(request.get("exist_ok", False)),
         )
-        # MonitorHub returns the live detector; a sharded hub keeps its
-        # detectors inside the workers and returns an info dict instead.
-        if isinstance(registered, DriftDetector):
-            detector_name, n_seen = type(registered).__name__, registered.n_seen
-        else:
-            detector_name, n_seen = registered["detector"], registered["n_seen"]
         return {
             "ok": True,
             "tenant": tenant,
             "monitor": monitor,
-            "detector": detector_name,
-            "n_seen": n_seen,
+            "detector": registered["detector"],
+            "n_seen": registered["n_seen"],
         }
 
     def _op_ingest(self, request: Dict[str, Any]) -> Dict[str, Any]:
@@ -425,6 +398,14 @@ def _op_ingest_events(raw: Any) -> list:
             )
         events.append((str(item[0]), str(item[1]), item[2]))
     return events
+
+
+def _as_limit(limit: Any) -> int:
+    """A request's ``limit`` as an int; anything else is an error response."""
+    try:
+        return int(limit)
+    except (TypeError, ValueError):
+        raise ReproError(f"limit must be an integer, got {limit!r}") from None
 
 
 def _identity(request: Dict[str, Any]) -> tuple:

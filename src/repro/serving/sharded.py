@@ -20,12 +20,14 @@ process.  :class:`ShardedHub` removes that ceiling by partitioning the
   (the commit point) and clean up.  Alert sequence numbers travel with the
   monitors, so exactly-once delivery survives a reshard; a crash at any
   point leaves a layout the resume/respawn machinery recovers exactly.
-* **Shared-memory fan-out** — with ``transport="shm"`` (the default) the
-  hot :meth:`ShardedHub.ingest` path writes each shard's float batch into a
-  per-shard ``multiprocessing.shared_memory`` segment and sends only tiny
+* **Shared-memory fan-out** — the hot :meth:`ShardedHub.ingest` path
+  writes each shard's float batch into a per-shard
+  ``multiprocessing.shared_memory`` segment and sends only tiny
   ``(segment, offsets)`` descriptors over the pipes; workers wrap the bytes
-  in zero-copy numpy views.  The classic pickle path remains as
-  ``transport="pickle"`` and as the automatic fallback.
+  in zero-copy numpy views.  It is the only transport: every shard's first
+  segment is allocated when its worker spawns, so a host without usable
+  shared memory fails at construction, and a segment that cannot grow
+  fails the ingest that needed it before anything is sent.
 * **Per-shard checkpoints + cluster manifest** — every worker owns a
   ``shard-NN/hub-checkpoint.json`` written with the hub's atomic snapshot
   machinery, and :meth:`ShardedHub.checkpoint` records a
@@ -36,9 +38,9 @@ process.  :class:`ShardedHub` removes that ceiling by partitioning the
   with the requested layout raises
   :class:`~repro.exceptions.SnapshotError` instead of silently mis-routing.
 * **Aggregation** — ``ObserveResult``s, ``stats()`` counters, and alert
-  drains come back over the worker pipes; alerts buffer in one
-  :class:`~repro.serving.sinks.QueueSink` per shard and
-  :meth:`drain_alerts` merges them (with the total dropped-alert count).
+  drains come back over the worker pipes; alerts buffer in each worker
+  hub's own alert buffer and :meth:`drain_alerts` merges them (with the
+  total dropped-alert count).
 
 Detectors cross the process boundary via their ``__reduce__`` hook, which
 pickles through the bit-exact ``state_dict`` snapshot contract, so
@@ -52,6 +54,7 @@ import json
 import logging
 import multiprocessing
 import signal
+from multiprocessing import shared_memory
 from multiprocessing.connection import Connection
 from pathlib import Path
 from typing import (
@@ -72,22 +75,16 @@ import numpy as np
 
 from repro.core.base import DriftDetector, as_value_array
 from repro.exceptions import ConfigurationError, ShardError, SnapshotError
-from repro.obs.journal import EventJournal
+from repro.obs.journal import EventJournal, check_limit
 from repro.obs.trace import TraceContext, Tracer
 from repro.serving.hub import Event, MonitorHub, ObserveResult
-from repro.serving.sinks import AlertSink, DriftAlert, JsonlAuditSink, QueueSink, WebhookSink
+from repro.serving.sinks import AlertSink, DriftAlert, JsonlAuditSink, WebhookSink
 from repro.serving.snapshot import atomic_write_json
 from repro.serving.wal import read_wal_head
-
-try:  # pragma: no cover - present on every supported CPython
-    from multiprocessing import shared_memory as _shared_memory
-except ImportError:  # pragma: no cover - exotic builds without _posixshmem
-    _shared_memory = None
 
 __all__ = [
     "ShardedHub",
     "route_slot",
-    "route_shard",
     "default_slot_assignment",
     "N_SLOTS",
     "MANIFEST_FILENAME",
@@ -96,14 +93,10 @@ __all__ = [
 
 logger = logging.getLogger(__name__)
 
-#: Version of the cluster manifest document schema.  Version 2 added the
-#: slot → shard ``assignment`` table (plus the ``prev_assignment`` /
-#: ``pending`` reshard bookkeeping); version-1 manifests are still readable —
-#: resume synthesizes the modulo-equivalent table (see ``_resume_plan``).
+#: Version of the cluster manifest document schema (the only one resume
+#: reads).  Version 2 added the slot → shard ``assignment`` table (plus the
+#: ``prev_assignment`` / ``pending`` reshard bookkeeping).
 MANIFEST_SCHEMA_VERSION = 2
-
-#: Manifest schema versions resume accepts.
-_READABLE_MANIFEST_VERSIONS = (1, 2)
 
 #: File name of the cluster manifest inside ``checkpoint_dir``.
 MANIFEST_FILENAME = "cluster-manifest.json"
@@ -140,34 +133,11 @@ def route_slot(tenant: str, monitor_id: str) -> int:
 def default_slot_assignment(n_shards: int) -> List[int]:
     """The slot → shard table of a fresh ``n_shards``-shard cluster.
 
-    Round-robin (``slot % n_shards``): balanced to within one slot, and —
-    because :func:`route_slot` is itself a modulo of the same digest — for
-    shard counts that divide :data:`N_SLOTS` it places every key on exactly
-    the shard the pre-slot ``digest % n_shards`` routing chose, which is
-    what makes v1 checkpoint migration a pure table synthesis.
+    Round-robin (``slot % n_shards``): balanced to within one slot.
     """
     if n_shards < 1:
         raise ConfigurationError(f"n_shards must be >= 1, got {n_shards}")
     return [slot % n_shards for slot in range(N_SLOTS)]
-
-
-def route_shard(tenant: str, monitor_id: str, n_shards: int) -> int:
-    """Shard of a key under a fresh ``n_shards``-shard cluster's layout.
-
-    .. deprecated::
-        Kept as a thin compatibility wrapper over :func:`route_slot` plus
-        :func:`default_slot_assignment`.  It answers "where would a
-        never-resharded ``n_shards`` cluster place this key" — for a live
-        cluster (whose table may have diverged through
-        :meth:`ShardedHub.reshard`) ask :meth:`ShardedHub.shard_of`
-        instead.
-    """
-    return default_slot_assignment(n_shards)[route_slot(tenant, monitor_id)]
-
-
-def _legacy_route_shard(tenant: str, monitor_id: str, n_shards: int) -> int:
-    """The pre-slot (manifest v1) direct-modulo routing, for migration."""
-    return _key_digest(tenant, monitor_id) % n_shards
 
 
 def _rebalance_assignment(assignment: Sequence[int], n_shards: int) -> List[int]:
@@ -256,7 +226,7 @@ def _worker_attach_shm(
             cache.pop(stale_name).close()
         except Exception:  # pragma: no cover - view still referenced  # repro: allow(broad-except) -- retiring a superseded segment view; at worst an fd lingers until worker exit, no data path depends on the close
             pass
-    block = _shared_memory.SharedMemory(name=name)
+    block = shared_memory.SharedMemory(name=name)
     # Cache the view before the tracker dance below: once it is in the
     # cache the worker's shutdown path owns the close, so no path between
     # attach and return can leak the mapping.
@@ -277,7 +247,6 @@ def _shard_worker_main(
     checkpoint_dir: Optional[str],
     checkpoint_every: Optional[int],
     resume: bool,
-    alert_buffer: Optional[int],
     audit_log: Optional[str],
     wal_dir: Optional[str] = None,
     wal_fsync: str = "batch",
@@ -302,11 +271,10 @@ def _shard_worker_main(
         # process label is what Perfetto shows as this worker's track.
         journal = EventJournal(capacity=256)
         tracer = Tracer(sample_rate=0.0, process=_shard_dirname(index))
-        # Sinks are built *before* the hub so they are constructor-provided
-        # and the resume-time WAL replay re-delivers the post-checkpoint
-        # alert tail into them (a sink attached afterwards would miss it).
-        alerts = QueueSink(maxlen=alert_buffer)
-        sinks: List[AlertSink] = [alerts]
+        # Sinks are built *before* the hub so the resume-time WAL replay
+        # re-delivers the post-checkpoint alert tail into them (and into the
+        # hub's alert buffer the ``alerts`` op drains).
+        sinks: List[AlertSink] = []
         if audit_log is not None:
             sinks.append(JsonlAuditSink(audit_log))
         if webhook is not None:
@@ -342,18 +310,12 @@ def _shard_worker_main(
             break
         try:
             if op == "ingest":
-                # Payload is (events,) or (events, trace_ctx) — positional
-                # forwarding matches MonitorHub.ingest's signature.
-                result: Any = hub.ingest(*payload)
-            elif op == "ingest_shm":
-                name, total, entries, ctx = (
-                    payload if len(payload) == 4 else (*payload, None)
-                )
+                name, total, entries, ctx = payload
                 block = _worker_attach_shm(name, shm_cache, tracker_inherited)
                 values = np.ndarray(
                     (total,), dtype=np.float64, buffer=block.buf
                 )
-                result = hub.ingest(
+                result: Any = hub.ingest(
                     [
                         (tenant, monitor_id, values[offset : offset + length])
                         for tenant, monitor_id, offset, length in entries
@@ -366,17 +328,13 @@ def _shard_worker_main(
                 result = hub.observe_with_stats(*payload)
             elif op == "register":
                 tenant, monitor_id, spec, params, exist_ok = payload
-                detector = hub.register(
+                result = hub.register(
                     tenant, monitor_id, spec, params=params, exist_ok=exist_ok
                 )
-                result = {
-                    "detector": type(detector).__name__,
-                    "n_seen": detector.n_seen,
-                }
             elif op == "stats":
                 result = hub.stats(*payload)
             elif op == "alerts":
-                result = (alerts.drain(), alerts.n_dropped)
+                result = hub.drain_alerts()
             elif op == "list_monitors":
                 result = [
                     (tenant, monitor_id, type(detector).__name__)
@@ -439,12 +397,12 @@ def _shard_worker_main(
 class ShardedHub:
     """Partition the monitor keyspace across N shared-nothing worker processes.
 
-    The public surface mirrors :class:`MonitorHub` (``register`` /
-    ``observe`` / ``ingest`` / ``stats`` / ``checkpoint`` / ``close``) so the
-    TCP server fronts either interchangeably, with two deliberate
-    differences: detectors live only inside the workers (``register`` returns
-    an info dict, not the instance), and alerts are polled with
-    :meth:`drain_alerts` instead of parent-side sinks.
+    The surface the TCP server uses is :class:`MonitorHub`'s, with the same
+    return shapes (``register`` / ``observe_with_stats`` / ``ingest`` /
+    ``stats`` / ``drain_alerts`` / ``checkpoint`` / ``reshard`` / ...), so
+    the server fronts either hub without telling them apart.  Detectors
+    live only inside the workers — there is no ``detector()`` accessor, and
+    sinks are configured per worker (``audit_log``, ``webhook``).
 
     Parameters
     ----------
@@ -461,9 +419,6 @@ class ShardedHub:
         shard (forwarded to each worker's ``MonitorHub``).
     resume:
         Resume every shard from its checkpoint when present.
-    alert_buffer:
-        ``maxlen`` of each shard's in-worker :class:`QueueSink` (``None`` =
-        unbounded); dropped-alert counts aggregate in :meth:`drain_alerts`.
     audit_log:
         When set, each worker appends alerts to ``<audit_log>.shard-NN``
         (one file per shard — concurrent writers never interleave a line).
@@ -494,27 +449,18 @@ class ShardedHub:
         respawn machinery knows how to recover — and :class:`ShardError` is
         raised.  Size it well above the slowest expected flush: a false
         positive costs a checkpoint rollback.
-    transport:
-        Fan-out transport of the hot :meth:`ingest` path.  ``"shm"`` (the
-        default) stages each shard's float batch in a per-shard
-        ``multiprocessing.shared_memory`` segment so workers read it
-        zero-copy; only tiny descriptors cross the pipes.  ``"pickle"``
-        sends the batches through the pipes (the classic path; also the
-        automatic fallback when shared memory is unavailable).  The two are
-        bit-identical in outcome — ``benchmarks/bench_serving_sharded.py``
-        measures the gap.
     tracer:
         The parent-side :class:`~repro.obs.trace.Tracer` (defaults to a
         disabled one).  When it samples an ingest, the span's trace context
-        rides the fan-out messages — over both transports — and each
-        worker's spans stitch underneath it; :meth:`drain_trace` merges the
-        spans of every process into one exportable batch.
+        rides the fan-out messages and each worker's spans stitch
+        underneath it; :meth:`drain_trace` merges the spans of every
+        process into one exportable batch.
     journal:
         The parent-side :class:`~repro.obs.journal.EventJournal`; defaults
         to a private bounded ring.  Cluster-level operational events land
-        here (shard respawns, reshard phase transitions, transport
-        fallbacks, timeout kills, cleanup failures); each worker hub keeps
-        its own journal and :meth:`journal_events` merges them by time.
+        here (shard respawns, reshard phase transitions, timeout kills,
+        cleanup failures); each worker hub keeps its own journal and
+        :meth:`journal_events` merges them by time.
     """
 
     def __init__(
@@ -523,7 +469,6 @@ class ShardedHub:
         checkpoint_dir: Optional[Union[str, Path]] = None,
         checkpoint_every: Optional[int] = None,
         resume: bool = True,
-        alert_buffer: Optional[int] = 10_000,
         audit_log: Optional[str] = None,
         wal_dir: Optional[Union[str, Path]] = None,
         wal_fsync: str = "batch",
@@ -531,7 +476,6 @@ class ShardedHub:
         webhook_dead_letter: Optional[str] = None,
         start_method: Optional[str] = None,
         request_timeout: Optional[float] = None,
-        transport: str = "shm",
         tracer: Optional[Tracer] = None,
         journal: Optional[EventJournal] = None,
     ) -> None:
@@ -546,10 +490,6 @@ class ShardedHub:
                 "checkpoint_every requires a checkpoint_dir — without one the "
                 "periodic checkpoints would silently never be written"
             )
-        if transport not in ("shm", "pickle"):
-            raise ConfigurationError(
-                f"transport must be 'shm' or 'pickle', got {transport!r}"
-            )
         self._n_shards = n_shards
         self._checkpoint_dir = Path(checkpoint_dir) if checkpoint_dir else None
         self._checkpoint_every = checkpoint_every
@@ -558,25 +498,18 @@ class ShardedHub:
             raise ConfigurationError(
                 f"request_timeout must be positive, got {request_timeout}"
             )
-        self._alert_buffer = alert_buffer
         self._audit_log = audit_log
         self._wal_dir = Path(wal_dir) if wal_dir else None
         self._wal_fsync = wal_fsync
         self._webhook = webhook
         self._webhook_dead_letter = webhook_dead_letter
         self._request_timeout = request_timeout
-        if transport == "shm" and _shared_memory is None:  # pragma: no cover
-            logger.warning(
-                "multiprocessing.shared_memory is unavailable; "
-                "falling back to the pickle transport"
-            )
-            transport = "pickle"
-        self._transport = transport
         self._tracer = tracer if tracer is not None else Tracer()
         self._owns_journal = journal is None
         self._journal = (
             journal if journal is not None else EventJournal(capacity=512)
         )
+        #: Each shard's ingest staging segment (allocated by _spawn).
         self._shm_blocks: Dict[int, Any] = {}
         self._context = multiprocessing.get_context(start_method)
         self._closed = False
@@ -589,10 +522,8 @@ class ShardedHub:
         self._parked_dropped = 0
         #: Best-effort failures an operator must be able to see without
         #: grepping logs: reshard cleanup/rollback steps that could not
-        #: complete (recoverable duplicates until respawn_dead_shards), and
-        #: shm-transport downgrades to the pickle path.
+        #: complete (recoverable duplicates until respawn_dead_shards).
         self._n_cleanup_failures = 0
-        self._n_transport_fallbacks = 0
         #: Test seam: called with a stage name at every reshard phase
         #: boundary so crash-injection tests can kill workers mid-protocol.
         self._reshard_test_hook: Optional[Callable[[str], None]] = None
@@ -610,18 +541,18 @@ class ShardedHub:
             # Also the startup handshake (for resume=False the listings are
             # empty): a worker whose hub failed to construct surfaces the
             # real exception here instead of an opaque dead pipe later.
-            migrated = self._adopt_cluster(plan)
+            deduplicated = self._adopt_cluster(plan)
             if self._checkpoint_dir is not None:
                 # Write the manifest up front, not only in checkpoint():
                 # per-shard auto-checkpoints (checkpoint_every) never touch
                 # it, and without a manifest the layout guard cannot fire —
                 # opening a 4-shard directory as 2 shards would silently
-                # drop the other shards' monitors.  When adoption moved or
-                # deduplicated monitors (a v1 migration, an interrupted
-                # reshard), checkpoint first so the clean v2 manifest never
-                # points at shard files that contradict it.
+                # drop the other shards' monitors.  When adoption dropped
+                # the stale copies of an interrupted reshard, checkpoint
+                # first so the clean manifest never points at shard files
+                # that contradict it.
                 reports = self._broadcast(
-                    "checkpoint" if migrated else "describe"
+                    "checkpoint" if deduplicated else "describe"
                 )
                 self._write_manifest(reports)
         except BaseException:
@@ -636,11 +567,8 @@ class ShardedHub:
         """Read the manifest into a resume plan (assignment + provenance).
 
         The plan carries the authoritative slot table plus the legitimate
-        *alternative* locations a monitor may be found in:
+        *alternative* locations a stale copy of a monitor may be found in:
 
-        * ``legacy`` — a v1 manifest; keys may sit on their old direct
-          ``digest % n_shards`` shard and migrate to the synthesized slot
-          table once.
         * ``pending`` — a reshard crashed before its commit point; copies
           may exist on the intended targets (the committed table wins).
         * ``prev`` — a reshard committed but crashed during cleanup; stale
@@ -650,7 +578,6 @@ class ShardedHub:
         """
         plan: Dict[str, Any] = {
             "assignment": default_slot_assignment(self._n_shards),
-            "legacy": False,
             "pending": None,
             "prev": None,
         }
@@ -664,10 +591,10 @@ class ShardedHub:
         except (OSError, ValueError) as exc:
             raise SnapshotError(f"cannot read cluster manifest {path}: {exc}") from exc
         version = manifest.get("schema_version")
-        if version not in _READABLE_MANIFEST_VERSIONS:
+        if version != MANIFEST_SCHEMA_VERSION:
             raise SnapshotError(
                 f"cluster manifest schema version {version!r} is not supported "
-                f"(expected one of {_READABLE_MANIFEST_VERSIONS})"
+                f"(expected {MANIFEST_SCHEMA_VERSION})"
             )
         recorded = manifest.get("n_shards")
         if recorded != self._n_shards:
@@ -678,13 +605,6 @@ class ShardedHub:
                 f"wrong shard — resume with n_shards={recorded} and call "
                 f"reshard({self._n_shards}), or start fresh"
             )
-        if version == 1:
-            # Pre-slot manifest: the synthesized round-robin table equals
-            # the old digest % n layout when n divides N_SLOTS; otherwise
-            # _adopt_cluster relocates the stragglers once.
-            plan["legacy"] = True
-            self._validate_wal_heads(manifest)
-            return plan
         n_slots = manifest.get("n_slots")
         if n_slots != N_SLOTS:
             raise SnapshotError(
@@ -781,6 +701,9 @@ class ShardedHub:
         return str(self._checkpoint_dir / _shard_dirname(index))
 
     def _spawn(self, index: int, resume: bool) -> None:
+        # The shard's first staging segment: a host without usable shared
+        # memory fails here, when the worker starts, not on its first ingest.
+        self._shm_block(index, 0)
         parent_conn, child_conn = self._context.Pipe(duplex=True)
         try:
             audit = (
@@ -801,7 +724,6 @@ class ShardedHub:
                     self._shard_checkpoint_dir(index),
                     self._checkpoint_every,
                     resume,
-                    self._alert_buffer,
                     audit,
                     self._shard_wal_dir(index),
                     self._wal_fsync,
@@ -815,9 +737,10 @@ class ShardedHub:
         except Exception:
             # A failed spawn (fork/exec error, bad checkpoint dir) must not
             # leak the pipe pair — each retry would otherwise pin two more
-            # file descriptors for the hub's lifetime.
+            # file descriptors for the hub's lifetime — or the segment.
             parent_conn.close()
             child_conn.close()
+            self._release_shm_block(index)
             raise
         # Record the conn first: once it is in the table, close()/reshard
         # own its lifetime, so a freak failure closing the child's end can
@@ -832,93 +755,50 @@ class ShardedHub:
         Doubles as the startup handshake — a worker whose hub failed to
         construct (corrupt shard checkpoint, bad directory) surfaces the
         real exception here instead of an opaque dead pipe later.  Every
-        resumed key must sit on the shard the slot table assigns it to, or
-        on a location the resume plan explains (a v1 layout, an interrupted
-        reshard) — those migrate or deduplicate here, through the same
-        export/import/forget hand-off a live reshard uses.  Anything else
-        means the checkpoint directory was assembled from a different
-        cluster layout, which is a correctness error, not a warning.
+        resumed key must sit on the shard the slot table assigns it to.
+        Extra copies elsewhere are legitimate only where the resume plan
+        explains them (an interrupted reshard) and are forgotten here — the
+        committed owner wins.  Anything else means the checkpoint directory
+        was assembled from a different cluster layout, which is a
+        correctness error, not a warning.
 
-        Returns whether any monitor moved or was deduplicated (callers then
+        Returns whether any stale copy was forgotten (callers then
         checkpoint before writing the clean manifest).
         """
-        if plan is None:
-            plan = {
-                "assignment": self._assignment,
-                "legacy": False,
-                "pending": None,
-                "prev": None,
-            }
         self._registry = {}
         placement: Dict[_MonitorKey, List[int]] = {}
         for index in range(self._n_shards):
             for tenant, monitor_id, _ in self._call(index, "list_monitors"):
                 placement.setdefault((tenant, monitor_id), []).append(index)
-        migrated = False
         forgets: Dict[int, List[_MonitorKey]] = {}
-        moves: Dict[int, List[_MonitorKey]] = {}
         for key, holders in placement.items():
             owner = self._assignment[route_slot(*key)]
-            strays = [shard for shard in holders if shard != owner]
-            for shard in strays:
-                if not self._stray_allowed(key, shard, plan):
+            for shard in holders:
+                if shard == owner:
+                    continue
+                if owner not in holders or not self._stray_allowed(key, shard, plan):
                     raise SnapshotError(
                         f"monitor {key[0]}/{key[1]} resumed on shard {shard} "
                         f"but routes to shard {owner}; the shard checkpoints "
                         "do not belong to this cluster layout"
                     )
-            if owner in holders:
-                # Copies beyond the owner are leftovers of an interrupted
-                # reshard's cleanup phase; the committed owner wins.
-                for shard in strays:
-                    forgets.setdefault(shard, []).append(key)
-            else:
-                if len(strays) != 1:
-                    raise SnapshotError(
-                        f"monitor {key[0]}/{key[1]} resumed on shards "
-                        f"{sorted(strays)} but routes to shard {owner}; the "
-                        "shard checkpoints do not belong to this cluster layout"
-                    )
-                moves.setdefault(strays[0], []).append(key)
+                forgets.setdefault(shard, []).append(key)
             self._registry[key] = owner
-        for source, keys in sorted(moves.items()):
-            per_target: Dict[int, List[_MonitorKey]] = {}
-            for key in keys:
-                per_target.setdefault(
-                    self._assignment[route_slot(*key)], []
-                ).append(key)
-            records = self._call(source, "export_monitors", keys)
-            by_key = {
-                (record["tenant"], record["monitor_id"]): record
-                for record in records
-            }
-            for target, target_keys in sorted(per_target.items()):
-                self._call(
-                    target,
-                    "import_monitors",
-                    [by_key[key] for key in target_keys],
-                )
-            self._call(source, "forget_monitors", keys)
-            migrated = True
         for shard, keys in sorted(forgets.items()):
             self._call(shard, "forget_monitors", keys)
-            migrated = True
-        return migrated
+        return bool(forgets)
 
     def _stray_allowed(
-        self, key: _MonitorKey, shard: int, plan: Dict[str, Any]
+        self, key: _MonitorKey, shard: int, plan: Optional[Dict[str, Any]]
     ) -> bool:
-        """Whether the resume plan legitimises finding ``key`` on ``shard``."""
-        tenant, monitor_id = key
-        if plan["legacy"] and shard == _legacy_route_shard(
-            tenant, monitor_id, self._n_shards
-        ):
-            return True
-        slot = route_slot(tenant, monitor_id)
-        for table in (plan["pending"], plan["prev"]):
-            if table is not None and table[slot] == shard:
-                return True
-        return False
+        """Whether the resume plan legitimises a stale copy of ``key`` on ``shard``."""
+        if plan is None:
+            return False
+        slot = route_slot(*key)
+        return any(
+            table is not None and table[slot] == shard
+            for table in (plan["pending"], plan["prev"])
+        )
 
     def _adopt_shard_monitors(self, index: int) -> None:
         """Mirror a respawned shard's resumed monitors into the registry.
@@ -956,15 +836,8 @@ class ShardedHub:
     #: would hang shutdown and make the terminate fallback unreachable.
     _STOP_REPLY_TIMEOUT = 5.0
 
-    def _stop_worker(self, process: Any, conn: Optional[Connection]) -> None:
-        """Gracefully stop one worker: ``stop`` op, then escalate."""
-        if process is not None and process.is_alive() and conn is not None:
-            try:
-                conn.send(("stop", ()))
-                if conn.poll(self._STOP_REPLY_TIMEOUT):
-                    conn.recv()
-            except Exception:  # repro: allow(broad-except) -- best-effort graceful stop; the escalation ladder below (join, terminate, kill) reaps the worker whatever happened to the pipe
-                pass
+    def _reap(self, process: Any, conn: Optional[Connection]) -> None:
+        """Join a stopping worker, escalating to terminate, then kill."""
         if process is not None:
             process.join(timeout=self._STOP_REPLY_TIMEOUT)
             if process.is_alive():
@@ -977,6 +850,17 @@ class ShardedHub:
                 process.join(timeout=self._STOP_REPLY_TIMEOUT)
         if conn is not None:
             conn.close()
+
+    def _stop_worker(self, process: Any, conn: Optional[Connection]) -> None:
+        """Gracefully stop one worker: ``stop`` op, then escalate."""
+        if process is not None and process.is_alive() and conn is not None:
+            try:
+                conn.send(("stop", ()))
+                if conn.poll(self._STOP_REPLY_TIMEOUT):
+                    conn.recv()
+            except Exception:  # repro: allow(broad-except) -- best-effort graceful stop; the escalation ladder in _reap (join, terminate, kill) reaps the worker whatever happened to the pipe
+                pass
+        self._reap(process, conn)
 
     def close(self) -> None:
         """Stop every worker (graceful ``stop`` op, then terminate stragglers)."""
@@ -1004,19 +888,7 @@ class ShardedHub:
                 if process is None:
                     continue
                 try:
-                    process.join(timeout=self._STOP_REPLY_TIMEOUT)
-                    if process.is_alive():
-                        process.terminate()
-                        process.join(timeout=self._STOP_REPLY_TIMEOUT)
-                    if process.is_alive():
-                        # SIGTERM stays *pending* on a SIGSTOPped worker;
-                        # SIGKILL is the only signal guaranteed to reap a
-                        # wedged process.
-                        process.kill()
-                        process.join(timeout=self._STOP_REPLY_TIMEOUT)
-                    conn = self._conns[index]
-                    if conn is not None:
-                        conn.close()
+                    self._reap(process, self._conns[index])
                 except Exception:  # repro: allow(broad-except) -- counted in n_cleanup_failures and journaled by _note_cleanup_failure; one unreapable worker must not keep close() from reaping the rest
                     self._note_cleanup_failure("close_worker", shard=index)
                     logger.warning("close: could not reap shard %d", index)
@@ -1127,7 +999,6 @@ class ShardedHub:
         sent: List[int] = []
         dead_error: Optional[BaseException] = None
         worker_error: Optional[BaseException] = None
-        caller_error: Optional[BaseException] = None
         for index, (op, payload) in zip(indices, messages):
             try:
                 self._conns[index].send((op, payload))
@@ -1138,14 +1009,6 @@ class ShardedHub:
                 )
                 error.__cause__ = exc
                 dead_error = dead_error or error
-            except Exception as exc:  # repro: allow(broad-except) -- caller_error is re-raised below, after the shards already sent to are drained; catching here prevents pipe desync, it does not swallow
-                # The *payload* failed to serialize (e.g. a generator event
-                # chunk the pickler rejects before anything hits the pipe) —
-                # a caller error, not a dead shard.  Stop sending, but still
-                # drain the shards already sent to, or their pipes would
-                # hand the pending replies to the next unrelated request.
-                caller_error = exc
-                break
             else:
                 sent.append(index)
         # Phase 2: collect one reply per delivered request.
@@ -1168,8 +1031,6 @@ class ShardedHub:
                 worker_error = worker_error or value
             else:
                 replies.append(value)
-        if caller_error is not None:
-            raise caller_error
         if worker_error is not None:
             raise worker_error
         if dead_error is not None and not tolerate_dead:
@@ -1194,7 +1055,8 @@ class ShardedHub:
         Growing allocates a *new* named segment and retires the old one —
         the worker switches attachments when it sees the new name, and the
         strict request/reply pipe discipline guarantees the old segment has
-        no in-flight reader by the time the parent reuses or frees it.
+        no in-flight reader by the time the parent reuses or frees it.  A
+        failed allocation raises :class:`ShardError` (the next call retries).
         """
         block = self._shm_blocks.get(index)
         if block is not None and block.size >= nbytes:
@@ -1202,23 +1064,26 @@ class ShardedHub:
         if block is not None:
             self._release_shm_block(index)
         capacity = max(64 * 1024, 1 << (max(1, nbytes) - 1).bit_length())
-        block = _shared_memory.SharedMemory(create=True, size=capacity)
+        try:
+            block = shared_memory.SharedMemory(create=True, size=capacity)
+        except OSError as exc:
+            raise ShardError(
+                f"cannot allocate a {capacity}-byte shared-memory segment "
+                f"for shard {index} ({exc!r})"
+            ) from exc
         self._shm_blocks[index] = block
         return block
 
-    def _shm_message(
+    def _ingest_message(
         self,
         index: int,
         shard_events: List[Event],
         ctx: Optional[TraceContext] = None,
-    ) -> Optional[Tuple[str, Tuple[Any, ...]]]:
+    ) -> Tuple[str, Tuple[Any, ...]]:
         """Stage one shard's batch in shared memory; descriptor message.
 
-        Returns ``None`` to fall back to the pickle path (empty batch, or
-        the segment could not be allocated — in which case the transport
-        downgrades for good).  Payload conversion errors propagate: they
-        are caller errors, identical to what the worker-side conversion
-        would have raised, and no message has touched a pipe yet.
+        Payload conversion errors and a failed segment growth raise here,
+        before any message has touched a pipe.
         """
         converted: List[Tuple[str, str, "np.ndarray"]] = []
         total = 0
@@ -1226,20 +1091,7 @@ class ShardedHub:
             values = as_value_array(payload)
             converted.append((tenant, monitor_id, values))
             total += values.shape[0]
-        if total == 0:
-            return None
-        try:
-            block = self._shm_block(index, total * 8)
-        except Exception:
-            self._n_transport_fallbacks += 1
-            self._journal.record("transport_fallback", shard=index)
-            logger.warning(
-                "cannot allocate a shared-memory segment; falling back to "
-                "the pickle transport",
-                exc_info=True,
-            )
-            self._transport = "pickle"
-            return None
+        block = self._shm_block(index, total * 8)
         staged = np.ndarray((total,), dtype=np.float64, buffer=block.buf)
         entries: List[Tuple[str, str, int, int]] = []
         offset = 0
@@ -1248,7 +1100,7 @@ class ShardedHub:
             staged[offset : offset + length] = values
             entries.append((tenant, monitor_id, offset, length))
             offset += length
-        return ("ingest_shm", (block.name, total, entries, ctx))
+        return ("ingest", (block.name, total, entries, ctx))
 
     # ---------------------------------------------------------- registration
 
@@ -1303,11 +1155,6 @@ class ShardedHub:
     def assignment(self) -> Tuple[int, ...]:
         """The live slot → shard table (index = slot)."""
         return tuple(self._assignment)
-
-    @property
-    def transport(self) -> str:
-        """The active ingest fan-out transport (``"shm"`` or ``"pickle"``)."""
-        return self._transport
 
     def monitor_keys(self) -> Iterator[Tuple[str, str, int]]:
         """Iterate ``(tenant, monitor_id, shard_index)`` over the registry."""
@@ -1389,15 +1236,15 @@ class ShardedHub:
         are bit-identical to the unsharded run.  Results aggregate in shard
         order (within a shard, the worker hub's flush order).
 
-        With the ``"shm"`` transport each shard's values are staged in its
-        shared-memory segment and only ``(segment, offsets)`` descriptors
-        cross the pipe; the worker reads the floats zero-copy.  Payloads the
-        float conversion rejects raise here, before anything is sent.
+        Each shard's values are staged in its shared-memory segment and only
+        ``(segment, offsets)`` descriptors cross the pipe; the worker reads
+        the floats zero-copy.  Payloads the float conversion rejects raise
+        here, before anything is sent.
 
         When the parent tracer samples this batch (or ``trace_ctx`` hands an
         already-open trace down), the span's context rides every shard's
-        message — descriptor and pickle path alike — so the workers' spans
-        stitch under one trace across processes.
+        message, so the workers' spans stitch under one trace across
+        processes.
         """
         span = self._tracer.begin("hub.fan_out", trace_ctx)
         try:
@@ -1409,14 +1256,10 @@ class ShardedHub:
                 return []
             ctx = span.context() if span is not None else None
             indices = sorted(per_shard)
-            messages: List[Tuple[str, Tuple[Any, ...]]] = []
-            for index in indices:
-                message = None
-                if self._transport == "shm":
-                    message = self._shm_message(index, per_shard[index], ctx)
-                if message is None:
-                    message = ("ingest", (per_shard[index], ctx))
-                messages.append(message)
+            messages = [
+                self._ingest_message(index, per_shard[index], ctx)
+                for index in indices
+            ]
             replies = self._fan_out(indices, messages)
             results: List[ObserveResult] = []
             for reply in replies:
@@ -1470,7 +1313,6 @@ class ShardedHub:
             "n_shards": self._n_shards,
             "n_alive_shards": self._n_shards - len(self.dead_shards()),
             "n_cleanup_failures": self._n_cleanup_failures,
-            "n_transport_fallbacks": self._n_transport_fallbacks,
         }
 
     @property
@@ -1501,9 +1343,7 @@ class ShardedHub:
             "n_replay_suppressed": sum(
                 m["n_replay_suppressed"] for m in shard_metrics
             ),
-            "transport": self._transport,
             "n_cleanup_failures": self._n_cleanup_failures,
-            "n_transport_fallbacks": self._n_transport_fallbacks,
             "trace": self._tracer.stats(),
             "shards": shard_metrics,
         }
@@ -1543,13 +1383,14 @@ class ShardedHub:
         dead shards' retained events are gone with the worker (mirror the
         journals to JSONL for a durable record).
         """
+        check_limit(limit)
         events = self._journal.events(kind=kind)
         for shard_events in self._broadcast(
             "events", None, kind, tolerate_dead=True
         ):
             events.extend(shard_events)
         events.sort(key=lambda event: event.get("ts", 0.0))
-        if limit is not None and limit >= 0:
+        if limit is not None:
             events = events[-limit:]
         return events
 
@@ -1799,8 +1640,10 @@ class ShardedHub:
             for index in range(old_n, n_shards):
                 self._processes.append(None)
                 self._conns.append(None)
-                self._spawn(index, resume=False)
+                # Listed before the spawn, so a failed spawn's slot in the
+                # layout lists is rolled back too.
                 spawned.append(index)
+                self._spawn(index, resume=False)
             self._reshard_stage("spawned")
             # 3. Durable intent: the old table stays authoritative.
             if baseline_reports is not None:

@@ -6,8 +6,8 @@ in-memory queues and died with the process.  :class:`AlertWal` closes that
 gap — every :class:`~repro.serving.sinks.DriftAlert` (and every per-monitor
 ingest watermark) is appended to an fsync'd on-disk log *before* any sink
 sees it, so a ``kill -9`` loses nothing that was flushed, and a restarted
-hub re-delivers the post-checkpoint tail to its sinks exactly once
-(see :meth:`repro.serving.hub.MonitorHub.replay_wal`).
+hub re-delivers the post-checkpoint tail to its sinks exactly once, while
+it is being constructed (see :class:`repro.serving.hub.MonitorHub`).
 
 Storage model
 -------------
@@ -81,6 +81,7 @@ from typing import (
 )
 
 from repro.exceptions import ConfigurationError, SnapshotError
+from repro.obs.journal import check_limit
 from repro.serving.metrics import LatencyWindow
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (sinks reuse
@@ -525,8 +526,7 @@ class AlertWal:
         keeps the *newest* matches.  History depth is bounded by segment
         retention — pruned segments' alerts are gone.
         """
-        if limit < 1:
-            raise ConfigurationError(f"limit must be >= 1, got {limit}")
+        check_limit(limit)
         matches: deque = deque(maxlen=limit)
         for record in self.iter_alerts():
             if tenant is not None and record.get("tenant") != str(tenant):

@@ -38,7 +38,13 @@ import numpy as np
 import pytest
 
 from repro.exceptions import ShardError, SnapshotError
-from repro.serving import MonitorHub, QueueSink, ShardedHub, route_shard
+from repro.serving import (
+    MonitorHub,
+    QueueSink,
+    ShardedHub,
+    default_slot_assignment,
+    route_slot,
+)
 from repro.serving.wal import FAILPOINT_ENV, WAL_META_FILENAME
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
@@ -307,10 +313,11 @@ def test_single_hub_sigkill_after_emit_before_checkpoint(tmp_path):
 
 def _two_monitor_ids(n_shards: int = 2):
     """Two monitor ids under one tenant that route to different shards."""
+    table = default_slot_assignment(n_shards)
     first = "m-0"
-    target = 1 - route_shard("t", first, n_shards)
+    target = 1 - table[route_slot("t", first)]
     index = 1
-    while route_shard("t", f"m-{index}", n_shards) != target:
+    while table[route_slot("t", f"m-{index}")] != target:
         index += 1
     return [first, f"m-{index}"]
 

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from repro.exceptions import ConfigurationError, SnapshotError
-from repro.serving.hub import CHECKPOINT_FILENAME, MonitorHub
+from repro.serving.hub import CHECKPOINT_FILENAME, HUB_SCHEMA_VERSION, MonitorHub
 from repro.serving.sinks import DriftAlert, JsonlAuditSink, QueueSink
 
 
@@ -145,22 +145,26 @@ def test_second_restart_does_not_duplicate_replay(tmp_path):
     hub3.close()
 
 
-def test_deferred_replay_waits_for_late_sinks(tmp_path):
+def test_resumed_hub_buffers_the_redelivered_tail(tmp_path):
+    """The alert buffer exists before the constructor's WAL replay, so the
+    ``alerts`` op of a restarted server hands out the redelivered tail."""
     values = _values()
-    hub = MonitorHub(sinks=[QueueSink()], wal_dir=tmp_path / "wal")
+    hub = MonitorHub(wal_dir=tmp_path / "wal")
     hub.register("t", "m", "DDM")
     hub.observe("t", "m", values[:600])
+    live, n_dropped = hub.drain_alerts()
+    assert n_dropped == 0
+    assert [alert.seq for alert in live] == [1, 2, 3, 4, 5]
     hub._wal.commit()
     del hub
 
-    hub2 = MonitorHub(wal_dir=tmp_path / "wal", wal_auto_replay=False)
-    assert hub2.wal_replay_pending
-    late = QueueSink()
-    hub2.add_sink(late)  # the TCP server's attach-after-construction shape
-    assert hub2.replay_wal() == 5
-    assert not hub2.wal_replay_pending
-    assert hub2.replay_wal() == 0  # idempotent
-    assert len(late.drain()) == 5
+    hub2 = MonitorHub(wal_dir=tmp_path / "wal")
+    replayed, n_dropped = hub2.drain_alerts()
+    assert n_dropped == 0
+    assert [alert.seq for alert in replayed] == [1, 2, 3, 4, 5]
+    assert all(alert.redelivered for alert in replayed)
+    assert hub2.metrics()["n_wal_replayed"] == 5
+    assert hub2.drain_alerts() == ([], 0)  # draining empties the buffer
     hub2.close()
 
 
@@ -202,17 +206,20 @@ def test_metrics_shape(tmp_path):
     assert metrics["flush_latency_ms"]["p95"] >= 0
     assert metrics["wal"]["fsync_mode"] == "always"
     assert metrics["wal"]["n_alerts"] == 6
+    # The caller's queue, then the hub's own alert buffer.
     assert metrics["sinks"] == [
         {"sink": "QueueSink", "n_buffered": 6, "n_dropped": 0, "n_redelivered": 0}
-    ]
+    ] * 2
     hub.close()
 
 
 # ------------------------------------------------------- checkpoint schema
 
 
-def test_version_1_checkpoints_still_restore(tmp_path):
-    """Pre-WAL checkpoints (schema 1, no alert_seq) resume with seq 0."""
+def test_only_the_current_checkpoint_schema_restores(tmp_path):
+    """Pre-WAL checkpoints (schema 1, no alert_seq) are refused by name of
+    the supported version, as are future ones; a schema-2 document
+    missing ``alert_seq`` is corrupt."""
     values = _values()
     hub = MonitorHub(checkpoint_dir=tmp_path)
     hub.register("t", "m", "DDM")
@@ -220,24 +227,19 @@ def test_version_1_checkpoints_still_restore(tmp_path):
     hub.checkpoint()
     hub.close()
     path = tmp_path / CHECKPOINT_FILENAME
-    document = json.loads(path.read_text(encoding="utf-8"))
-    assert document["schema_version"] == 2
-    assert [m["alert_seq"] for m in document["monitors"]] == [3]
-    document["schema_version"] = 1
-    for monitor in document["monitors"]:
+    current = json.loads(path.read_text(encoding="utf-8"))
+    assert current["schema_version"] == HUB_SCHEMA_VERSION == 2
+    assert [m["alert_seq"] for m in current["monitors"]] == [3]
+
+    v1 = json.loads(json.dumps(current))
+    v1["schema_version"] = 1
+    for monitor in v1["monitors"]:
         del monitor["alert_seq"]
-    path.write_text(json.dumps(document), encoding="utf-8")
+    for version, document in ((1, v1), (99, {**current, "schema_version": 99})):
+        path.write_text(json.dumps(document), encoding="utf-8")
+        with pytest.raises(SnapshotError, match=rf"version {version} .*expected 2"):
+            MonitorHub(checkpoint_dir=tmp_path)
 
-    queue = QueueSink()
-    restored = MonitorHub(checkpoint_dir=tmp_path, sinks=[queue])
-    assert restored.detector("t", "m").n_seen == 500
-    restored.observe("t", "m", values[500:600])
-    # Sequence numbering restarts from zero — the price of a v1 document,
-    # which predates the WAL and so has nothing to deduplicate against.
-    assert [a.seq for a in queue.drain()] == [1, 2]
-    restored.close()
-
-    document["schema_version"] = 99
-    path.write_text(json.dumps(document), encoding="utf-8")
-    with pytest.raises(SnapshotError):
+    path.write_text(json.dumps({**v1, "schema_version": 2}), encoding="utf-8")
+    with pytest.raises(SnapshotError, match="alert_seq"):
         MonitorHub(checkpoint_dir=tmp_path)

@@ -49,9 +49,11 @@ def test_register_duplicate_rejected():
     hub = _drifty_hub()
     with pytest.raises(ConfigurationError):
         hub.register("acme", "checkout", "DDM")
-    # exist_ok with the same configuration returns the live detector.
-    existing = hub.register("acme", "checkout", "DDM", exist_ok=True)
-    assert existing is hub.detector("acme", "checkout")
+    # exist_ok with the same configuration keeps the live detector.
+    detector = hub.detector("acme", "checkout")
+    info = hub.register("acme", "checkout", "DDM", exist_ok=True)
+    assert info == {"detector": "Ddm", "n_seen": 0}
+    assert hub.detector("acme", "checkout") is detector
     # exist_ok with a different configuration is a hard error.
     with pytest.raises(ConfigurationError):
         hub.register("acme", "checkout", "ADWIN", exist_ok=True)
@@ -60,7 +62,9 @@ def test_register_duplicate_rejected():
 def test_register_accepts_instances_and_rejects_params_with_instance():
     hub = MonitorHub()
     detector = Ddm(min_num_instances=50)
-    assert hub.register("t", "m", detector) is detector
+    detector.update_batch(VALUES[:20])
+    assert hub.register("t", "m", detector) == {"detector": "Ddm", "n_seen": 20}
+    assert hub.detector("t", "m") is detector
     with pytest.raises(ConfigurationError):
         hub.register("t", "m2", Ddm(), params={"min_num_instances": 5})
 

@@ -10,9 +10,6 @@ SIGKILL/respawn integration lives in
 from __future__ import annotations
 
 import json
-import subprocess
-import sys
-from pathlib import Path
 
 import pytest
 
@@ -23,11 +20,8 @@ from repro.serving import (
     MANIFEST_SCHEMA_VERSION,
     MonitorHub,
     ShardedHub,
-    route_shard,
 )
 from repro.streams.error_streams import BinarySegment, binary_error_stream
-
-REPO_SRC = Path(__file__).resolve().parents[2] / "src"
 
 VALUES = binary_error_stream(
     [BinarySegment(500, 0.1), BinarySegment(500, 0.65)], seed=7
@@ -60,56 +54,12 @@ def sharded(tmp_path):
         hub.close()
 
 
-@pytest.fixture
-def sharded_pickle():
-    hub = ShardedHub(2, transport="pickle")
-    try:
-        yield hub
-    finally:
-        hub.close()
-
-
 def _register_fleet(hub):
     for tenant, monitor_id, detector, params in MONITORS:
         hub.register(tenant, monitor_id, detector, params)
 
 
 # ----------------------------------------------------------------- routing
-
-
-def test_route_shard_is_deterministic_and_covers_shards():
-    first = [route_shard(f"tenant-{i}", f"monitor-{i}", 4) for i in range(200)]
-    second = [route_shard(f"tenant-{i}", f"monitor-{i}", 4) for i in range(200)]
-    assert first == second
-    assert set(first) == {0, 1, 2, 3}
-    assert all(0 <= shard < 4 for shard in first)
-    # The key components are delimited: ("a", "b/c") != ("a/b", "c").
-    assert isinstance(route_shard("a", "b/c", 2), int)
-
-
-def test_route_shard_stable_across_processes():
-    """The routing hash must not depend on interpreter hash randomization."""
-    keys = [("acme", "checkout"), ("globex", "fraud"), ("t", "m")]
-    local = [route_shard(tenant, monitor, 8) for tenant, monitor in keys]
-    script = (
-        "from repro.serving.sharded import route_shard;"
-        f"print([route_shard(t, m, 8) for t, m in {keys!r}])"
-    )
-    import os
-
-    for seed in ("0", "1", "random"):
-        env = dict(os.environ)
-        env["PYTHONPATH"] = str(REPO_SRC)
-        env["PYTHONHASHSEED"] = seed
-        output = subprocess.check_output(
-            [sys.executable, "-c", script], env=env, text=True
-        )
-        assert json.loads(output) == local
-
-
-def test_route_shard_rejects_bad_shard_count():
-    with pytest.raises(ConfigurationError):
-        route_shard("t", "m", 0)
 
 
 def test_monitors_distribute_across_both_shards(sharded):
@@ -276,6 +226,27 @@ def test_resume_is_bit_exact(tmp_path):
             )
 
 
+@pytest.mark.parametrize("version", [1, 99])
+def test_only_the_current_manifest_schema_resumes(tmp_path, version):
+    """A pre-slot (v1) manifest — no slot table — and a future one are both
+    refused by name of the supported version; nothing is migrated."""
+    with ShardedHub(2, checkpoint_dir=tmp_path) as hub:
+        _register_fleet(hub)
+        hub.checkpoint()
+    path = tmp_path / MANIFEST_FILENAME
+    manifest = json.loads(path.read_text())
+    if version == 1:
+        for key in ("n_slots", "assignment", "prev_assignment", "pending"):
+            del manifest[key]
+    manifest["schema_version"] = version
+    path.write_text(json.dumps(manifest))
+    with pytest.raises(
+        SnapshotError,
+        match=rf"version {version} .*expected {MANIFEST_SCHEMA_VERSION}\)",
+    ):
+        ShardedHub(2, checkpoint_dir=tmp_path)
+
+
 def test_shard_count_change_is_rejected(tmp_path):
     with ShardedHub(2, checkpoint_dir=tmp_path) as hub:
         _register_fleet(hub)
@@ -342,6 +313,27 @@ def test_misassembled_shard_directories_are_rejected(tmp_path):
     assert leaked == []
 
 
+def test_stale_copy_without_its_owner_is_rejected(tmp_path):
+    """An interrupted reshard explains stale copies only next to the
+    committed owner's: a monitor its owner does not hold is mis-assembly
+    even where ``prev_assignment`` would explain the copy — resume never
+    relocates monitors."""
+    with ShardedHub(2, checkpoint_dir=tmp_path) as hub:
+        _register_fleet(hub)
+        hub.checkpoint()
+    shard0 = tmp_path / "shard-00" / "hub-checkpoint.json"
+    shard1 = tmp_path / "shard-01" / "hub-checkpoint.json"
+    text0, text1 = shard0.read_text(), shard1.read_text()
+    shard0.write_text(text1)
+    shard1.write_text(text0)
+    path = tmp_path / MANIFEST_FILENAME
+    manifest = json.loads(path.read_text())
+    manifest["prev_assignment"] = [1 - owner for owner in manifest["assignment"]]
+    path.write_text(json.dumps(manifest))
+    with pytest.raises(SnapshotError, match="routes to shard"):
+        ShardedHub(2, checkpoint_dir=tmp_path)
+
+
 def test_checkpoint_requires_directory():
     with ShardedHub(2) as hub:
         hub.register("t", "m", "DDM")
@@ -359,17 +351,13 @@ def test_invalid_shard_count():
         ShardedHub(0)
 
 
-def test_unpicklable_payload_does_not_desync_pipes(sharded_pickle):
-    """A payload the pickler rejects is a caller error, not a dead shard.
+def test_unpicklable_payload_does_not_desync_pipes(sharded):
+    """A bad payload is a caller error, not a dead shard.
 
-    The fan-out must still drain the shards that already received their
-    message — otherwise their pending replies would be handed to the next
-    unrelated request and every later op would return garbage.  Pinned to
-    the pickle transport: the shm path converts payloads parent-side, so
-    generators never reach a pickler there (see
-    test_shm_transport_accepts_generator_payloads).
+    The float conversion rejects it while the parent stages the batches in
+    shared memory — before any shard has been sent its message — so no
+    pipe is left holding a reply for the next, unrelated request.
     """
-    sharded = sharded_pickle
     _register_fleet(sharded)
     ordered = sorted(
         MONITORS, key=lambda spec: sharded.shard_of(spec[0], spec[1])
@@ -377,15 +365,22 @@ def test_unpicklable_payload_does_not_desync_pipes(sharded_pickle):
     first, last = ordered[0], ordered[-1]
     assert sharded.shard_of(first[0], first[1]) != sharded.shard_of(last[0], last[1])
 
-    with pytest.raises(TypeError):
+    with pytest.raises(ValueError):
         sharded.ingest(
             [
                 (first[0], first[1], [1.0, 0.0]),
-                # Generators work on MonitorHub (np.fromiter) but cannot
-                # cross a process boundary.
-                (last[0], last[1], (v for v in [1.0, 0.0])),
+                (last[0], last[1], ["not", "a", "float"]),
             ]
         )
+
+    # Nothing reached either worker, and both answer correctly afterwards.
+    assert sharded.stats()["n_alive_shards"] == 2
+    assert sharded.stats()["n_events"] == 0
+    outcome = sharded.observe(first[0], first[1], [1.0])
+    assert outcome.tenant == first[0] and outcome.monitor_id == first[1]
+    assert outcome.offset == 0
+    outcome = sharded.observe(last[0], last[1], [1.0])
+    assert outcome.monitor_id == last[1] and outcome.offset == 0
 
     # Both shards still answer correctly-typed replies afterwards.
     stats = sharded.stats()
@@ -486,32 +481,10 @@ def test_closed_hub_refuses_calls(tmp_path):
 # -------------------------------------------------------- shm transport
 
 
-def test_shm_transport_bit_identical_to_pickle():
-    """Same stream through both transports: detections must not differ by
-    a single position (the transports change *how* floats travel, never
-    what the workers compute)."""
-    collected = {}
-    for transport in ("shm", "pickle"):
-        hub = ShardedHub(2, transport=transport)
-        try:
-            assert hub.transport == transport
-            _register_fleet(hub)
-            detections = {}
-            for outcome in hub.ingest(_interleaved_events(VALUES)):
-                detections.setdefault(
-                    (outcome.tenant, outcome.monitor_id), []
-                ).extend(outcome.drift_positions)
-            collected[transport] = detections
-        finally:
-            hub.close()
-    assert collected["shm"] == collected["pickle"]
-    assert any(collected["shm"].values())  # the stream does drift
-
-
 def test_shm_transport_accepts_generator_payloads():
     """The shm path converts payloads parent-side, so generators — which
-    the pickle transport must reject — simply work."""
-    with ShardedHub(2, transport="shm") as hub:
+    cannot cross a process boundary themselves — simply work."""
+    with ShardedHub(2) as hub:
         hub.register("t", "gen", "DDM")
         outcome = hub.ingest([("t", "gen", (v for v in [1.0, 0.0, 1.0]))])[0]
         assert outcome.n_processed == 3
@@ -521,7 +494,7 @@ def test_shm_transport_accepts_generator_payloads():
 def test_shm_block_grows_and_shrinks_with_batches():
     """A batch larger than the staging segment forces a bigger replacement
     segment; correctness is unaffected in either direction."""
-    with ShardedHub(1, transport="shm") as hub:
+    with ShardedHub(1) as hub:
         hub.register("t", "m", "DDM")
         hub.ingest([("t", "m", [0.0] * 8)])
         first = hub._shm_blocks[0].size
@@ -533,11 +506,11 @@ def test_shm_block_grows_and_shrinks_with_batches():
 
 
 def test_shm_segments_are_released_on_close():
-    hub = ShardedHub(2, transport="shm")
+    hub = ShardedHub(2)
     hub.register("t", "m", "DDM")
     hub.ingest([("t", "m", [1.0, 0.0])])
     names = [block.name for block in hub._shm_blocks.values()]
-    assert names
+    assert len(names) == 2  # one per shard, allocated at spawn
     hub.close()
     from multiprocessing import shared_memory
 
@@ -546,9 +519,59 @@ def test_shm_segments_are_released_on_close():
             shared_memory.SharedMemory(name=name)
 
 
-def test_transport_knob_is_validated():
-    with pytest.raises(ConfigurationError):
-        ShardedHub(2, transport="carrier-pigeon")
+def test_zero_length_payload_matches_single_hub():
+    """An empty chunk travels through shared memory like any other batch
+    and yields the same zero-length outcome a single hub reports."""
+    single = MonitorHub()
+    single.register("t", "m", "DDM")
+    with ShardedHub(2) as hub:
+        hub.register("t", "m", "DDM")
+        [sharded_outcome] = hub.ingest([("t", "m", [])])
+        [single_outcome] = single.ingest([("t", "m", [])])
+        assert sharded_outcome.n_processed == single_outcome.n_processed == 0
+        assert sharded_outcome.offset == single_outcome.offset == 0
+        assert sharded_outcome.drift_positions == []
+        # The next real batch continues from the same position.
+        assert hub.ingest([("t", "m", [1.0])])[0].offset == 0
+
+
+def test_segment_growth_failure_raises_before_any_send(monkeypatch):
+    """Without a fallback transport, a segment that cannot grow fails the
+    ingest that needed it — before either shard has been sent anything."""
+    from multiprocessing import shared_memory
+
+    with ShardedHub(2) as hub:
+        _register_fleet(hub)
+        small = hub._shm_blocks[0].size // 8
+
+        def refuse(*args, **kwargs):
+            raise OSError("no space left on device")
+
+        monkeypatch.setattr(shared_memory, "SharedMemory", refuse)
+        events = [(t, m, [0.0] * small * 2) for t, m, _, _ in MONITORS]
+        with pytest.raises(ShardError, match="shared-memory segment"):
+            hub.ingest(events)
+        monkeypatch.undo()
+        assert hub.stats()["n_events"] == 0
+        # The next ingest allocates again and succeeds.
+        assert sum(o.n_processed for o in hub.ingest(events)) == len(events) * small * 2
+
+
+def test_unusable_shared_memory_fails_at_construction(monkeypatch):
+    import multiprocessing
+    from multiprocessing import shared_memory
+
+    def refuse(*args, **kwargs):
+        raise OSError("shared memory is unavailable")
+
+    monkeypatch.setattr(shared_memory, "SharedMemory", refuse)
+    with pytest.raises(ShardError, match="shared-memory segment"):
+        ShardedHub(2)
+    assert not [
+        child
+        for child in multiprocessing.active_children()
+        if child.name.startswith("repro-shard-")
+    ]
 
 
 # ----------------------------------------------------- degraded cluster
@@ -592,7 +615,6 @@ def test_degraded_reads_with_dead_shard(tmp_path):
         metrics = hub.metrics()
         assert metrics["n_alive_shards"] == 1
         assert len(metrics["shards"]) == 1
-        assert metrics["transport"] == "shm"
 
         history = hub.alerts_history()
         assert {(r["tenant"], r["monitor_id"]) for r in history} <= survivor_keys
@@ -631,6 +653,34 @@ def test_reshard_in_memory_grow_and_shrink():
         assert collected == expected
     finally:
         hub.close()
+
+
+def test_reshard_rolls_back_a_worker_that_cannot_get_shared_memory(
+    tmp_path, monkeypatch
+):
+    """A grow whose new worker cannot allocate its staging segment aborts
+    before the commit point and leaves the old layout serving; the same
+    reshard succeeds once shared memory is back."""
+    from multiprocessing import shared_memory
+
+    with ShardedHub(2, checkpoint_dir=tmp_path) as hub:
+        _register_fleet(hub)
+        real = shared_memory.SharedMemory
+
+        def refuse(*args, **kwargs):
+            raise OSError("no space left on device")
+
+        monkeypatch.setattr(shared_memory, "SharedMemory", refuse)
+        with pytest.raises(ShardError, match="shared-memory segment"):
+            hub.reshard(3)
+        monkeypatch.setattr(shared_memory, "SharedMemory", real)
+        assert hub.n_shards == 2
+        assert len(hub._processes) == len(hub._conns) == 2
+        manifest = json.loads((tmp_path / MANIFEST_FILENAME).read_text())
+        assert manifest["n_shards"] == 2 and manifest["pending"] is None
+        hub.ingest(_interleaved_events(VALUES))
+        assert hub.reshard(3)["n_shards"] == 3
+        assert hub.stats()["n_events"] == 600 * len(MONITORS)
 
 
 def test_retired_shard_alerts_are_parked_not_lost():

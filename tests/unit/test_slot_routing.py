@@ -1,8 +1,7 @@
 """Unit tests for the slot-based routing layer of ``repro.serving.sharded``.
 
 Pure-function coverage (no worker processes): :func:`route_slot`
-determinism and range, the synthesized default assignment table, the
-deprecated :func:`route_shard` compatibility wrapper, and the
+determinism and range, the synthesized default assignment table, and the
 minimal-movement rebalance the live :meth:`ShardedHub.reshard` relies on.
 """
 
@@ -16,8 +15,8 @@ from pathlib import Path
 import pytest
 
 from repro.exceptions import ConfigurationError
-from repro.serving import N_SLOTS, default_slot_assignment, route_shard, route_slot
-from repro.serving.sharded import _legacy_route_shard, _rebalance_assignment
+from repro.serving import N_SLOTS, default_slot_assignment, route_slot
+from repro.serving.sharded import _rebalance_assignment
 
 REPO_SRC = Path(__file__).resolve().parents[2] / "src"
 
@@ -81,36 +80,6 @@ def test_default_assignment_is_balanced_round_robin():
 def test_default_assignment_rejects_bad_count():
     with pytest.raises(ConfigurationError):
         default_slot_assignment(0)
-
-
-def test_route_shard_wrapper_matches_slot_table():
-    """The deprecated wrapper is exactly slot + fresh-cluster table."""
-    for n in (1, 2, 3, 4, 7, 8):
-        table = default_slot_assignment(n)
-        for key in KEYS[:32]:
-            assert route_shard(*key, n) == table[route_slot(*key)]
-
-
-def test_route_shard_matches_legacy_modulo_for_divisors_of_slot_space():
-    """For n | 256 the slotted layout IS the old ``digest % n`` layout —
-    the property that makes v1 checkpoint migration a pure table synthesis."""
-    for n in (1, 2, 4, 8, 16):
-        for key in KEYS:
-            assert route_shard(*key, n) == _legacy_route_shard(*key, n)
-
-
-def test_route_shard_diverges_from_legacy_for_non_divisors():
-    """3 does not divide 256: some keys must land elsewhere (these are the
-    monitors a v1 migration physically relocates)."""
-    moved = sum(
-        1 for key in KEYS if route_shard(*key, 3) != _legacy_route_shard(*key, 3)
-    )
-    assert moved > 0
-
-
-def test_route_shard_rejects_bad_shard_count():
-    with pytest.raises(ConfigurationError):
-        route_shard("t", "m", 0)
 
 
 # ------------------------------------------------------------- rebalance
