@@ -13,8 +13,10 @@ Design points:
   each monitor's buffer with a single ``update_batch`` call (grouped so that
   same-configured monitors flush consecutively and share per-configuration
   caches such as OPTWIN's cut tables).  This is what turns one-Python-call-
-  per-event serving into vectorised serving; ``benchmarks/
-  bench_serving_throughput.py`` measures the gap.
+  per-event serving into vectorised serving; ``perfbench/`` measures it
+  end to end over the wire, layer by layer.  Every payload is converted to
+  float64 before any monitor is fed, so a malformed one fails the whole
+  call with nothing applied.
 * **Checkpoint/restore** — :meth:`MonitorHub.checkpoint` writes one JSON
   document (schema-versioned, atomic tmp-file + ``os.replace``) containing a
   bit-exact snapshot of every detector plus a config hash of the hub
@@ -22,7 +24,8 @@ Design points:
   constructed with the same ``checkpoint_dir`` resumes from it automatically.
 * **Alert transitions** — sinks fire on *transitions*: one ``"warning"``
   alert per entry into the warning zone (not per warning element) and one
-  ``"drift"`` alert per flagged drift.
+  ``"drift"`` alert per flagged drift.  A monitor's alerts from one flush
+  go out as one batch: every sink receives them in ``seq`` order.
 * **Durable alert bus** — with a ``wal_dir``, every alert is appended to a
   segmented, CRC-checked, fsync'd write-ahead log (:class:`~repro.serving.
   wal.AlertWal`) *before* any sink sees it, each alert carrying a monotonic
@@ -40,9 +43,11 @@ Design points:
 
 from __future__ import annotations
 
+import collections.abc
 import json
 import logging
 import numbers
+import reprlib
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -61,7 +66,7 @@ from typing import (
 
 import numpy as np
 
-from repro.core.base import BatchResult, DriftDetector, as_value_array
+from repro.core.base import BatchResult, DriftDetector
 from repro.exceptions import ConfigurationError, SnapshotError
 from repro.obs.journal import EventJournal
 from repro.obs.prom import UpdateTimings
@@ -168,32 +173,63 @@ class _MonitorEntry:
         self.timing_recorder: Optional[Any] = None
 
 
-def _coalesce(parts: List[Any]) -> "np.ndarray":
-    """Concatenate buffered ingest payloads (scalars and chunks) in order.
+def _checked_values(key: _MonitorKey, payload: Any) -> Union[float, "np.ndarray"]:
+    """One payload as a float (a real scalar) or a 1-d float64 chunk.
 
     Scalars are anything :class:`numbers.Real` plus ``np.bool_`` (which
-    registers in no ``numbers`` ABC) — numpy scalars such as ``np.int64``
-    are *not* ``int`` and used to fall through to the chunk branch, where
-    ``np.fromiter`` blows up on a 0-d value.
+    registers in no ``numbers`` ABC); they stay Python floats so that runs
+    of scalar events coalesce into one array.  Anything else must be a flat
+    array-like of booleans, integers or floats: a string (numeric ones such
+    as ``"1"`` or ``"NaN"`` included), a mapping, ``None`` (bare or in a
+    list), or a nested or ragged list raises :class:`ConfigurationError`
+    naming the monitor.
     """
+    if isinstance(payload, (numbers.Real, np.bool_)):
+        return float(payload)
+    if isinstance(payload, collections.abc.Iterator):
+        payload = list(payload)  # a generator, which np.asarray would not unpack
+    try:
+        # No dtype: numpy would parse numeric strings into floats.  The kind
+        # it infers tells plain numbers from anything else.
+        values = np.asarray(payload)
+    except (TypeError, ValueError):  # a ragged list
+        pass
+    else:
+        if values.ndim <= 1 and values.dtype.kind in "biuf":
+            # ascontiguousarray returns a 0-d array as a one-element chunk.
+            return np.ascontiguousarray(values, dtype=np.float64)
+    raise ConfigurationError(
+        f"monitor {key[0]}/{key[1]}: values must be a number or a flat list "
+        f"of numbers, got {reprlib.repr(payload)}"
+    )
+
+
+def _coalesce(parts: List[Union[float, "np.ndarray"]]) -> "np.ndarray":
+    """Concatenate checked payloads (floats and chunks) in order."""
     if len(parts) == 1:
         part = parts[0]
-        if isinstance(part, (numbers.Real, np.bool_)):
-            return np.asarray([float(part)], dtype=np.float64)
-        return as_value_array(part)
+        if isinstance(part, float):
+            return np.asarray([part], dtype=np.float64)
+        return part
     arrays: List["np.ndarray"] = []
     scalars: List[float] = []
     for part in parts:
-        if isinstance(part, (numbers.Real, np.bool_)):
-            scalars.append(float(part))
+        if isinstance(part, float):
+            scalars.append(part)
             continue
         if scalars:
             arrays.append(np.asarray(scalars, dtype=np.float64))
             scalars = []
-        arrays.append(as_value_array(part))
+        arrays.append(part)
     if scalars:
         arrays.append(np.asarray(scalars, dtype=np.float64))
     return np.concatenate(arrays)
+
+
+def checked_chunk(key: _MonitorKey, payload: Any) -> "np.ndarray":
+    """One monitor's payload as a 1-d float64 chunk; raises
+    :class:`ConfigurationError` naming the monitor when it does not convert."""
+    return _coalesce([_checked_values(key, payload)])
 
 
 def _group_key(detector: DriftDetector) -> str:
@@ -538,15 +574,20 @@ class MonitorHub:
         values: Union[float, Sequence[float]],
         trace_ctx: Optional[TraceContext] = None,
     ) -> ObserveResult:
-        """Feed one monitor a value or chunk of values (oldest first)."""
+        """Feed one monitor a value or chunk of values (oldest first).
+
+        A payload that does not convert to float64 raises
+        :class:`ConfigurationError` before the monitor sees any of it.
+        """
         entry = self._entry(tenant, monitor_id)
+        chunk = checked_chunk((entry.tenant, entry.monitor_id), values)
         span = self._tracer.begin(
             "hub.observe", trace_ctx, tenant=entry.tenant, monitor=entry.monitor_id
         )
         started = time.perf_counter()
         self._active_span = span
         try:
-            result = self._feed(entry, values, span)
+            result = self._feed(entry, chunk, span)
             self._commit_wal(span)
         finally:
             self._active_span = None
@@ -589,20 +630,24 @@ class MonitorHub:
         received data, in flush order.  ``trace_ctx`` stitches this flush
         under a front-end's span (a sharded fan-out, the TCP server's
         request span); without one the hub's own tracer samples a root.
+
+        The call is all-or-nothing up to the detectors: an unknown monitor
+        or a payload that does not convert to float64 raises
+        :class:`ConfigurationError` before any monitor is fed.
         """
-        # Buffer whole payloads (scalars or chunks) per monitor and coalesce
-        # once at flush time — per-element Python conversion here would cost
-        # more than the vectorised detector work it feeds.
+        # Convert whole payloads (scalars or chunks) per monitor up front and
+        # coalesce once at flush time — per-element Python conversion here
+        # would cost more than the vectorised detector work it feeds.
         span = self._tracer.begin("hub.ingest", trace_ctx)
         started = time.perf_counter()
-        buffers: Dict[_MonitorKey, List[Any]] = {}
+        buffers: Dict[_MonitorKey, List[Union[float, "np.ndarray"]]] = {}
         for tenant, monitor_id, payload in events:
             key = (str(tenant), str(monitor_id))
             if key not in self._entries:
                 raise ConfigurationError(
                     f"unknown monitor {key[0]}/{key[1]}; register it first"
                 )
-            buffers.setdefault(key, []).append(payload)
+            buffers.setdefault(key, []).append(_checked_values(key, payload))
         results: List[ObserveResult] = []
         self._active_span = span
         try:
@@ -631,12 +676,9 @@ class MonitorHub:
     def _feed(
         self,
         entry: _MonitorEntry,
-        values: Union[float, Sequence[float]],
+        chunk: "np.ndarray",
         span: Optional[SpanHandle] = None,
     ) -> ObserveResult:
-        # as_value_array accepts bare real scalars (incl. numpy scalars) and
-        # 0-d arrays directly, yielding a one-element chunk.
-        chunk = as_value_array(values)
         detector = entry.detector
         offset = detector.n_seen
         # Gated so the unsampled path never pays for the kwargs dict — this
@@ -712,39 +754,34 @@ class MonitorHub:
             if n > 0:
                 entry.in_warning = False
             return
-        detector = entry.detector
         drift_set = set(batch.drift_indices)
-        n_drifts_before = detector.n_drifts - len(batch.drift_indices)
-        drift_number = 0
+        n_drifts = entry.detector.n_drifts - len(batch.drift_indices)
+        fired: List[Tuple[str, int, int]] = []
         # Index of the previous warning element; -1 "continues" a zone that
         # was active at the end of the previous chunk, -2 never matches.
         prev_warn = -1 if entry.in_warning else -2
         for index in batch.warning_indices:
             if index in drift_set:
-                drift_number += 1
-                self._fire(
-                    entry, "drift", offset + index, n_drifts_before + drift_number
-                )
+                n_drifts += 1
+                fired.append(("drift", offset + index, n_drifts))
                 # The drift resets the detector, ending any warning zone.
                 prev_warn = -2
             else:
                 if index != prev_warn + 1:
-                    self._fire(
-                        entry,
-                        "warning",
-                        offset + index,
-                        n_drifts_before + drift_number,
-                    )
+                    fired.append(("warning", offset + index, n_drifts))
                 prev_warn = index
         entry.in_warning = prev_warn == n - 1
+        if fired:
+            self._fire(entry, fired)
 
     def _fire(
-        self, entry: _MonitorEntry, kind: str, position: int, n_drifts: int
+        self, entry: _MonitorEntry, fired: List[Tuple[str, int, int]]
     ) -> None:
-        """Assign the next sequence number, log to the WAL, deliver to sinks.
+        """Number one monitor's ``(kind, position, n_drifts)`` transitions,
+        log them to the WAL, then deliver them to the sinks.
 
-        The order is the durability contract: the WAL append happens before
-        any sink sees the alert, so a crash at any point leaves the alert
+        The order is the durability contract: the WAL appends happen before
+        any sink sees an alert, so a crash at any point leaves each alert
         either (a) durable in the WAL — re-delivered by the restore replay —
         or (b) not yet durable — but then the detector state that produced
         it also rolls back to the checkpoint, and the producer's replay
@@ -753,58 +790,63 @@ class MonitorHub:
         already delivered (``seq <= replayed_through``) are suppressed, not
         double-delivered.
         """
-        entry.alert_seq += 1
-        seq = entry.alert_seq
-        key = (entry.tenant, entry.monitor_id)
-        alert = DriftAlert(
-            tenant=entry.tenant,
-            monitor_id=entry.monitor_id,
-            kind=kind,
-            position=position,
-            detector=type(entry.detector).__name__,
-            n_drifts=n_drifts,
-            seq=seq,
-            ts=time.time(),
-        )
-        if seq <= self._replayed_through.get(key, 0):
-            self._n_replay_suppressed += 1
+        tenant, monitor_id = entry.tenant, entry.monitor_id
+        detector = type(entry.detector).__name__
+        floor = self._replayed_through.get((tenant, monitor_id), 0)
+        first = entry.alert_seq + 1
+        entry.alert_seq += len(fired)
+        alerts = [
+            DriftAlert(
+                tenant, monitor_id, kind, position, detector, n_drifts, seq, time.time()
+            )
+            for seq, (kind, position, n_drifts) in enumerate(fired, first)
+            if seq > floor
+        ]
+        self._n_replay_suppressed += len(fired) - len(alerts)
+        if not alerts:
             return
         if self._wal is not None:
-            self._wal.append_alert(alert)
-        self._emit(alert)
+            for alert in alerts:
+                self._wal.append_alert(alert)
+        self._emit(alerts)
 
-    def _emit(self, alert: DriftAlert) -> None:
-        """Deliver one alert to every sink, tolerating per-sink failures.
+    def _emit(self, alerts: Sequence[DriftAlert]) -> None:
+        """Deliver alerts to every sink, in order, tolerating sink failures.
 
-        A raising sink is a *reporting* problem, never a monitoring problem:
-        the detectors already consumed the values by the time alerts fire, so
-        letting a sink exception escape ``observe``/``ingest`` would abort the
-        flush half-way and leave the caller believing state it cannot see —
+        Each sink receives the whole batch before the next sink sees it,
+        under one ``sink.emit`` span when a trace is active.  A raising sink
+        is a *reporting* problem, never a monitoring problem: the detectors
+        already consumed the values by the time alerts fire, so letting a
+        sink exception escape ``observe``/``ingest`` would abort the flush
+        half-way and leave the caller believing state it cannot see —
         exactly the divergence a checkpointed serving system cannot afford.
-        Failures are counted (``stats()["n_sink_failures"]``), logged, and the
-        remaining sinks still receive the alert.
+        Failures are counted per alert (``stats()["n_sink_failures"]``),
+        logged, and delivery continues with the next alert and sink.
         """
+        parent = self._active_span
         for sink in self._sinks:
-            child = self._tracer.start_span(
-                "sink.emit", self._active_span, sink=type(sink).__name__
-            )
-            try:
-                sink.emit(alert)
-            except Exception:
-                self._n_sink_failures += 1
-                self._sink_failures_by_tenant[alert.tenant] = (
-                    self._sink_failures_by_tenant.get(alert.tenant, 0) + 1
+            child = None
+            if parent is not None:
+                child = self._tracer.start_span(
+                    "sink.emit", parent, sink=type(sink).__name__, n=len(alerts)
                 )
-                logger.exception(
-                    "alert sink %r failed for %s/%s; detector state is "
-                    "unaffected",
-                    sink,
-                    alert.tenant,
-                    alert.monitor_id,
-                )
-            finally:
-                if child is not None:
-                    child.end()
+            for alert in alerts:
+                try:
+                    sink.emit(alert)
+                except Exception:
+                    self._n_sink_failures += 1
+                    self._sink_failures_by_tenant[alert.tenant] = (
+                        self._sink_failures_by_tenant.get(alert.tenant, 0) + 1
+                    )
+                    logger.exception(
+                        "alert sink %r failed for %s/%s; detector state is "
+                        "unaffected",
+                        sink,
+                        alert.tenant,
+                        alert.monitor_id,
+                    )
+            if child is not None:
+                child.end()
 
     # ------------------------------------------------------------ WAL replay
 
@@ -831,7 +873,7 @@ class MonitorHub:
             )
             if seq <= floor:
                 continue
-            self._emit(DriftAlert.from_dict(record).as_redelivery())
+            self._emit((DriftAlert.from_dict(record).as_redelivery(),))
             replayed[key] = seq
             self._n_wal_replayed += 1
         for (tenant, monitor_id), seq in replayed.items():

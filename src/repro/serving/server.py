@@ -7,6 +7,13 @@ request carries an ``"op"`` field; every response carries ``"ok"`` plus
 op-specific payload, and errors come back as ``{"ok": false, "error": ...}``
 without killing the connection.
 
+Requests are decoded with ``orjson`` (strict RFC 8259): a line that is not
+UTF-8, nests deeper than :data:`MAX_NESTING` levels, or holds ``NaN``,
+``Infinity`` or a number that overflows float64 is answered with
+``invalid JSON: ...`` and reaches no monitor.  Responses are encoded with
+the standard ``json`` module, which keeps writing non-finite floats in
+``metrics`` answers as ``NaN``/``Infinity``.
+
 Supported operations::
 
     {"op": "ping"}
@@ -39,8 +46,8 @@ the old serialisation guarantee — all detector mutations still execute one
 at a time, in submission order, without locks — and each connection awaits
 its dispatch before reading the next line, so per-connection response
 ordering and the WAL's exactly-once append order are unchanged.  Throughput
-comes from batching (send chunks, not single values) — see
-``benchmarks/bench_serving_throughput.py``.
+comes from batching (send chunks, not single values) — ``perfbench/``
+measures it over the wire.
 """
 
 from __future__ import annotations
@@ -52,19 +59,35 @@ from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from typing import Any, Dict, Optional, Union
 
+import numpy as np
+import orjson
+
 from repro.exceptions import ReproError
 from repro.obs.prom import hub_exposition
 from repro.obs.trace import chrome_trace, write_chrome_trace
 from repro.serving.hub import MonitorHub
 from repro.serving.sharded import ShardedHub
 
-__all__ = ["ServingServer", "Hub", "MAX_LINE_BYTES"]
+__all__ = ["ServingServer", "Hub", "MAX_LINE_BYTES", "MAX_NESTING"]
 
 logger = logging.getLogger(__name__)
 
 #: Upper bound of one request line (protects the loop from unbounded reads);
 #: 16 MiB fits chunks of ~1M values.
 MAX_LINE_BYTES = 16 * 1024 * 1024
+
+#: Deepest ``[``/``{`` nesting a request line may have, counting brackets
+#: outside string literals.  ``orjson`` before 3.9.15 recurses once per
+#: level on the dispatch thread's stack with no limit of its own (an 8 MiB
+#: stack overflows between 100,000 and 150,000 levels), so a deeper line is
+#: refused before decoding.  Later releases stop at 1,024 levels themselves;
+#: staying below that leaves this guard the one that answers at the limit,
+#: whichever release is installed.
+MAX_NESTING = 512
+
+#: Every byte except the four brackets and the double quote
+#: (``bytes.translate`` deletes them).
+_NON_STRUCTURE = bytes(sorted(set(range(256)) - set(b'[]{}"')))
 
 #: The hubs a server can front.  Both answer every call the server makes
 #: with the same return shapes, so the server never tells them apart.
@@ -209,9 +232,14 @@ class ServingServer:
             logger.debug("client disconnected: %s", peer)
 
     def _dispatch_line(self, line: bytes) -> Dict[str, Any]:
+        if _nests_too_deep(line):
+            return {
+                "ok": False,
+                "error": f"invalid JSON: nesting deeper than {MAX_NESTING} levels",
+            }
         try:
-            request = json.loads(line)
-        except json.JSONDecodeError as exc:
+            request = orjson.loads(line)
+        except orjson.JSONDecodeError as exc:
             return {"ok": False, "error": f"invalid JSON: {exc.msg}"}
         if not isinstance(request, dict):
             return {"ok": False, "error": "request must be a JSON object"}
@@ -385,6 +413,28 @@ class ServingServer:
                 "n_warnings": stats["n_warnings"],
             },
         }
+
+
+def _nests_too_deep(line: bytes) -> bool:
+    """Whether ``[``/``{`` brackets outside string literals in ``line`` nest
+    deeper than :data:`MAX_NESTING`.
+
+    Escape pairs are dropped first (so an escaped quote does not end a
+    string), then everything but brackets and quotes.  A line with few
+    opening brackets is answered there; otherwise the pieces between quotes
+    that lie inside strings are cut out before the depth is summed.  Up to
+    its first syntax error — as far as the decoder ever recurses — a line is
+    valid JSON, so this finds exactly the brackets the decoder nests on.
+    """
+    if b"\\" in line:
+        line = line.replace(b"\\\\", b"").replace(b'\\"', b"")
+    structure = line.translate(None, _NON_STRUCTURE)
+    if structure.count(b"[") + structure.count(b"{") <= MAX_NESTING:
+        return False
+    brackets = b"".join(structure.split(b'"')[::2])
+    # '[' and '{' have bit 1 set, ']' and '}' do not: a +1/-1 step each.
+    steps = (np.frombuffer(brackets, dtype=np.uint8) & 2).view(np.int8) - 1
+    return int(np.cumsum(steps, dtype=np.int32).max()) > MAX_NESTING
 
 
 def _op_ingest_events(raw: Any) -> list:

@@ -73,11 +73,11 @@ from typing import (
 
 import numpy as np
 
-from repro.core.base import DriftDetector, as_value_array
+from repro.core.base import DriftDetector
 from repro.exceptions import ConfigurationError, ShardError, SnapshotError
 from repro.obs.journal import EventJournal, check_limit
 from repro.obs.trace import TraceContext, Tracer
-from repro.serving.hub import Event, MonitorHub, ObserveResult
+from repro.serving.hub import Event, MonitorHub, ObserveResult, checked_chunk
 from repro.serving.sinks import AlertSink, DriftAlert, JsonlAuditSink, WebhookSink
 from repro.serving.snapshot import atomic_write_json
 from repro.serving.wal import read_wal_head
@@ -1082,13 +1082,14 @@ class ShardedHub:
     ) -> Tuple[str, Tuple[Any, ...]]:
         """Stage one shard's batch in shared memory; descriptor message.
 
-        Payload conversion errors and a failed segment growth raise here,
-        before any message has touched a pipe.
+        Payload conversion errors (a :class:`ConfigurationError` naming the
+        monitor) and a failed segment growth raise here, before any message
+        has touched a pipe.
         """
         converted: List[Tuple[str, str, "np.ndarray"]] = []
         total = 0
         for tenant, monitor_id, payload in shard_events:
-            values = as_value_array(payload)
+            values = checked_chunk((tenant, monitor_id), payload)
             converted.append((tenant, monitor_id, values))
             total += values.shape[0]
         block = self._shm_block(index, total * 8)

@@ -40,8 +40,8 @@ import threading
 import time
 import urllib.request
 from collections import deque
-from dataclasses import asdict, dataclass, replace
-from typing import Any, Callable, Deque, Dict, List, Mapping, Optional
+from dataclasses import asdict, dataclass
+from typing import Any, Callable, Deque, Dict, List, Mapping, NamedTuple, Optional
 
 __all__ = [
     "DriftAlert",
@@ -55,9 +55,12 @@ __all__ = [
 logger = logging.getLogger(__name__)
 
 
-@dataclass(frozen=True)
-class DriftAlert:
+class DriftAlert(NamedTuple):
     """One warning/drift transition of a hosted monitor.
+
+    A :class:`~typing.NamedTuple`: immutable, hashable and picklable, and
+    cheap to build — the hub constructs one per fired alert on the ingest
+    path.
 
     Attributes
     ----------
@@ -101,23 +104,9 @@ class DriftAlert:
     redelivered: bool = False
 
     def to_dict(self) -> Dict[str, object]:
-        """Plain-dict form used by the audit log, WAL, and wire protocol.
-
-        Built by hand rather than :func:`dataclasses.asdict` — every field
-        is a scalar, and ``asdict``'s recursive deepcopy machinery is ~4x
-        the cost of the whole WAL append that serializes this dict.
-        """
-        return {
-            "tenant": self.tenant,
-            "monitor_id": self.monitor_id,
-            "kind": self.kind,
-            "position": self.position,
-            "detector": self.detector,
-            "n_drifts": self.n_drifts,
-            "seq": self.seq,
-            "ts": self.ts,
-            "redelivered": self.redelivered,
-        }
+        """Plain-dict form used by the audit log, WAL, webhook and wire
+        protocol (keys in field order)."""
+        return self._asdict()
 
     @classmethod
     def from_dict(cls, payload: Mapping[str, Any]) -> "DriftAlert":
@@ -136,7 +125,7 @@ class DriftAlert:
 
     def as_redelivery(self) -> "DriftAlert":
         """A copy flagged as a WAL re-delivery."""
-        return replace(self, redelivered=True)
+        return self._replace(redelivered=True)
 
 
 class AlertSink(abc.ABC):

@@ -417,8 +417,7 @@ class AlertWal:
         payload = json.dumps(record, sort_keys=True, separators=(",", ":")).encode(
             "utf-8"
         )
-        self._handle.write(_HEADER.pack(len(payload), zlib.crc32(payload)))
-        self._handle.write(payload)
+        self._handle.write(_HEADER.pack(len(payload), zlib.crc32(payload)) + payload)
         self._segment_size += _HEADER.size + len(payload)
         self._bytes_written += _HEADER.size + len(payload)
         self._n_appends += 1

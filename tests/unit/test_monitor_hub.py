@@ -176,7 +176,8 @@ def test_raising_sink_never_aborts_ingest():
 
     Detector state must stay authoritative — identical to a hub without any
     sink — the flush must complete, sinks after the raising one must still be
-    delivered to, and the failures must be counted in ``stats()``.
+    delivered to, each monitor's alerts in ``seq`` order, and the failures
+    must be counted in ``stats()``.
     """
 
     def explode(alert):
@@ -184,15 +185,21 @@ def test_raising_sink_never_aborts_ingest():
 
     queue = QueueSink()
     hub = MonitorHub(sinks=[CallbackSink(explode), queue])
-    hub.register("t", "m", "DDM")
     reference = MonitorHub()
-    reference.register("t", "m", "DDM")
+    for target in (hub, reference):
+        target.register("t", "m", "DDM")
+        target.register("t", "m2", "EDDM")
 
     # Neither observe nor ingest may raise.
     outcome = hub.observe("t", "m", VALUES[:600])
-    hub.ingest([("t", "m", VALUES[600:])])
+    hub.ingest(
+        [("t", "m2", VALUES[:300]), ("t", "m", VALUES[600:]), ("t", "m2", VALUES[300:])]
+    )
     expected_head = reference.observe("t", "m", VALUES[:600])
-    expected_tail = reference.ingest([("t", "m", VALUES[600:])])[0]
+    expected_tail = {
+        result.monitor_id: result
+        for result in reference.ingest([("t", "m", VALUES[600:]), ("t", "m2", VALUES)])
+    }["m"]
 
     # Detector state is bit-identical to the sink-less hub.
     assert outcome.batch.drift_indices == expected_head.batch.drift_indices
@@ -201,11 +208,16 @@ def test_raising_sink_never_aborts_ingest():
     )
     assert hub.detector("t", "m").n_drifts == reference.detector("t", "m").n_drifts
 
-    # Sinks after the raising one still received every alert.
+    # Sinks after the raising one still received every alert, each
+    # monitor's in seq order.
     good_alerts = queue.drain()
-    assert [a.position for a in good_alerts if a.kind == "drift"] == (
-        expected_head.drift_positions + expected_tail.drift_positions
-    )
+    assert [
+        a.position for a in good_alerts if a.monitor_id == "m" and a.kind == "drift"
+    ] == (expected_head.drift_positions + expected_tail.drift_positions)
+    for monitor in ("m", "m2"):
+        seqs = [a.seq for a in good_alerts if a.monitor_id == monitor]
+        assert seqs == list(range(1, len(seqs) + 1))
+        assert len(seqs) > 1
 
     # Every failed delivery was counted.
     assert hub.n_sink_failures == len(good_alerts)

@@ -2,7 +2,8 @@
 
 The setup shim (``setup.py``) declares that all real metadata lives in
 ``pyproject.toml``; these tests pin that promise so the distribution keeps a
-name, a version, src-layout package discovery, and the numpy dependency.
+name, a version, src-layout package discovery, and the numpy and orjson
+(the serving layer's request decoder) dependencies.
 """
 
 import pathlib
@@ -23,6 +24,7 @@ def test_pyproject_exists_with_core_metadata():
     data = _load_pyproject()
     assert data["project"]["name"]
     assert any(dep.startswith("numpy") for dep in data["project"]["dependencies"])
+    assert any(dep.startswith("orjson") for dep in data["project"]["dependencies"])
 
 
 def test_version_is_single_sourced_from_the_package():
