@@ -21,8 +21,8 @@ as running in event-loop context.  Inside that context it flags:
 * ``open(...)`` and ``Path.read_text``-style sync file I/O;
 * method calls in :data:`BLOCKING_METHODS` — the project's own blocking
   surface: hub ops that hit the WAL or checkpoint files (``ingest``,
-  ``observe``, ``checkpoint``, ``replay_wal``, ``reshard``, ...), the
-  ``AlertWal`` append family, and pipe ``send``/``recv``.
+  ``observe``, ``checkpoint``, ``reshard``, ...), the ``AlertWal`` append
+  family, and pipe ``send``/``recv``.
 
 A call that *must* stay inline (a shutdown path running after the loop's
 server has stopped, say) takes a reasoned
@@ -69,7 +69,6 @@ BLOCKING_METHODS = frozenset(
         "observe",
         "observe_with_stats",
         "checkpoint",
-        "replay_wal",
         "reshard",
         "alerts_history",
         # AlertWal / durability helpers (repro.serving.wal).

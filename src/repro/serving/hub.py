@@ -291,10 +291,9 @@ class MonitorHub:
     wal_fsync:
         WAL durability mode — ``"batch"`` (default; one fsync per
         ``ingest``/``observe`` flush), ``"always"`` (per record), or
-        ``"off"`` (OS flush only).
-    wal_segment_bytes, wal_retain_segments:
-        Segment rotation size and history retention of the WAL (see
-        :class:`~repro.serving.wal.AlertWal`).
+        ``"off"`` (OS flush only).  Segments rotate at 4 MiB and a
+        checkpoint keeps the newest 8 (the :class:`~repro.serving.wal.
+        AlertWal` defaults).
     tracer:
         A :class:`~repro.obs.trace.Tracer`; defaults to a disabled one
         (``sample_rate=0``), so tracing costs one predicate per call site
@@ -302,11 +301,8 @@ class MonitorHub:
     journal:
         An :class:`~repro.obs.journal.EventJournal` shared with the
         front-end; defaults to a private bounded ring (the hub always
-        journals — WAL rotations, slow flushes — so the black box exists
-        before anyone configures observability).
-    slow_flush_ms:
-        Journal a ``slow_flush`` event whenever an ``ingest``/``observe``
-        flush takes at least this many milliseconds (``None`` disables).
+        journals its WAL rotations, so the black box exists before anyone
+        configures observability).
     instrument:
         Record per-detector-class update-time histograms and per-monitor
         cost attribution (:class:`~repro.obs.prom.UpdateTimings`).  On by
@@ -322,11 +318,8 @@ class MonitorHub:
         resume: bool = True,
         wal_dir: Optional[Union[str, Path]] = None,
         wal_fsync: str = "batch",
-        wal_segment_bytes: int = 4 * 1024 * 1024,
-        wal_retain_segments: int = 8,
         tracer: Optional[Tracer] = None,
         journal: Optional[EventJournal] = None,
-        slow_flush_ms: Optional[float] = None,
         instrument: bool = True,
     ) -> None:
         if checkpoint_every is not None and checkpoint_every < 1:
@@ -367,11 +360,6 @@ class MonitorHub:
         self._tracer = tracer if tracer is not None else Tracer()
         self._owns_journal = journal is None
         self._journal = journal if journal is not None else EventJournal(capacity=256)
-        if slow_flush_ms is not None and slow_flush_ms <= 0:
-            raise ConfigurationError(
-                f"slow_flush_ms must be positive, got {slow_flush_ms}"
-            )
-        self._slow_flush_ms = slow_flush_ms
         self._timings: Optional[UpdateTimings] = (
             UpdateTimings() if instrument else None
         )
@@ -387,13 +375,7 @@ class MonitorHub:
                 self._restore_from(path)
         self._wal: Optional[AlertWal] = None
         if wal_dir is not None:
-            self._wal = AlertWal(
-                wal_dir,
-                fsync=wal_fsync,
-                segment_bytes=wal_segment_bytes,
-                retain_segments=wal_retain_segments,
-                on_rotate=self._on_wal_rotate,
-            )
+            self._wal = AlertWal(wal_dir, fsync=wal_fsync, on_rotate=self._on_wal_rotate)
             if resume:
                 self._replay_wal(self._wal)
 
@@ -458,6 +440,10 @@ class MonitorHub:
         """Iterate ``(tenant, monitor_id, detector)`` in registration order."""
         for (tenant, monitor_id), entry in self._entries.items():
             yield tenant, monitor_id, entry.detector
+
+    def keys(self) -> List[_MonitorKey]:
+        """Every ``(tenant, monitor_id)`` key, in registration order."""
+        return list(self._entries)
 
     def detector(self, tenant: str, monitor_id: str) -> DriftDetector:
         """The detector behind one monitor (raises for unknown keys)."""
@@ -584,21 +570,7 @@ class MonitorHub:
         span = self._tracer.begin(
             "hub.observe", trace_ctx, tenant=entry.tenant, monitor=entry.monitor_id
         )
-        started = time.perf_counter()
-        self._active_span = span
-        try:
-            result = self._feed(entry, chunk, span)
-            self._commit_wal(span)
-        finally:
-            self._active_span = None
-        elapsed = time.perf_counter() - started
-        self._flush_latency.add(elapsed)
-        if span is not None:
-            span.add(n=result.n_processed)
-            span.end()
-        self._note_slow_flush(elapsed, 1)
-        self._maybe_checkpoint()
-        return result
+        return self._flush(span, time.perf_counter(), [(entry, chunk)])[0]
 
     def observe_with_stats(
         self,
@@ -648,28 +620,38 @@ class MonitorHub:
                     f"unknown monitor {key[0]}/{key[1]}; register it first"
                 )
             buffers.setdefault(key, []).append(_checked_values(key, payload))
-        results: List[ObserveResult] = []
+        return self._flush(
+            span,
+            started,
+            (
+                (self._entries[key], _coalesce(buffers[key]))
+                for keys in self._groups.values()
+                for key in keys
+                if key in buffers
+            ),
+        )
+
+    def _flush(
+        self,
+        span: Optional[SpanHandle],
+        started: float,
+        chunks: Iterable[Tuple[_MonitorEntry, "np.ndarray"]],
+    ) -> List[ObserveResult]:
+        """Feed each monitor its chunk, commit the WAL once, record the flush
+        latency since ``started``, end ``span`` and checkpoint when one is due."""
         self._active_span = span
         try:
-            for keys in self._groups.values():
-                for key in keys:
-                    parts = buffers.get(key)
-                    if parts:
-                        results.append(
-                            self._feed(self._entries[key], _coalesce(parts), span)
-                        )
+            results = [self._feed(entry, chunk, span) for entry, chunk in chunks]
             self._commit_wal(span)
         finally:
             self._active_span = None
-        elapsed = time.perf_counter() - started
-        self._flush_latency.add(elapsed)
+        self._flush_latency.add(time.perf_counter() - started)
         if span is not None:
             span.add(
                 n_monitors=len(results),
                 n_events=sum(outcome.n_processed for outcome in results),
             )
             span.end()
-        self._note_slow_flush(elapsed, len(results))
         self._maybe_checkpoint()
         return results
 
@@ -730,18 +712,6 @@ class MonitorHub:
             self._wal.commit()
             if child is not None:
                 child.end()
-
-    def _note_slow_flush(self, elapsed: float, n_monitors: int) -> None:
-        if self._slow_flush_ms is None:
-            return
-        ms = elapsed * 1000.0
-        if ms >= self._slow_flush_ms:
-            self._journal.record(
-                "slow_flush",
-                ms=round(ms, 3),
-                threshold_ms=self._slow_flush_ms,
-                n_monitors=n_monitors,
-            )
 
     def _on_wal_rotate(self, info: Dict[str, Any]) -> None:
         self._journal.record("wal_rotate", **info)
@@ -1099,6 +1069,16 @@ class MonitorHub:
     def wal_head(self) -> Optional[Dict[str, Any]]:
         """The WAL's identity head (for the cluster manifest); ``None`` without one."""
         return self._wal.head() if self._wal is not None else None
+
+    def describe(self) -> Dict[str, Any]:
+        """The hub's row of a cluster manifest: composition hash, lifetime
+        event count, monitor count and :meth:`wal_head`."""
+        return {
+            "config_hash": self.composition_hash(),
+            "n_events": self._n_events,
+            "n_monitors": len(self._entries),
+            "wal": self.wal_head(),
+        }
 
     def checkpoint(self) -> Path:
         """Atomically write the full hub state; return the checkpoint path.

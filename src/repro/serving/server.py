@@ -30,7 +30,7 @@ Supported operations::
     {"op": "metrics"}                    # rates, latency percentiles, WAL/sinks
     {"op": "metrics_prom"}               # Prometheus text exposition
     {"op": "trace"}                      # drain spans as Chrome trace JSON
-    {"op": "events", "kind": "slow_flush", "limit": 100}   # journal, all optional
+    {"op": "events", "kind": "wal_rotate", "limit": 100}   # journal, all optional
     {"op": "snapshot"}                   # checkpoint the hub now
 
 ``observe`` responds with lifetime stream positions (``drifts`` /

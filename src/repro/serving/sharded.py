@@ -176,6 +176,21 @@ def _shard_dirname(index: int) -> str:
     return f"shard-{index:02d}"
 
 
+def _dead_shard_error(index: int, exc: BaseException) -> ShardError:
+    """The error of a request whose worker pipe broke or closed."""
+    error = ShardError(
+        f"shard {index} worker is not responding ({exc!r}); "
+        f"respawn_shard({index}) resumes it from its checkpoint"
+    )
+    error.__cause__ = exc
+    return error
+
+
+def _sums(replies: List[Dict[str, Any]], fields: Sequence[str]) -> Dict[str, Any]:
+    """Per-field sums of the shards' counter dicts."""
+    return {field: sum(reply[field] for reply in replies) for field in fields}
+
+
 # --------------------------------------------------------------- worker side
 
 
@@ -241,6 +256,31 @@ def _worker_attach_shm(
     return block
 
 
+#: :class:`MonitorHub` methods a shard worker runs by name: a request
+#: ``(name, args)`` answers ``getattr(hub, name)(*args)``.  The loop itself
+#: handles ``ingest`` (values in shared memory), ``checkpoint`` (answers the
+#: manifest row), ``metrics`` (adds the shard index) and ``stop``; any other
+#: name is refused, so a stray request cannot reach ``close`` or a private
+#: attribute of the worker's hub.
+_WORKER_METHODS = frozenset(
+    {
+        "observe",
+        "observe_with_stats",
+        "register",
+        "stats",
+        "drain_alerts",
+        "keys",
+        "export_monitors",
+        "import_monitors",
+        "forget_monitors",
+        "drain_trace",
+        "journal_events",
+        "alerts_history",
+        "describe",
+    }
+)
+
+
 def _shard_worker_main(
     index: int,
     conn: Connection,
@@ -255,7 +295,7 @@ def _shard_worker_main(
 ) -> None:
     """Request/reply loop of one shard worker (one ``MonitorHub`` per shard).
 
-    Every request is a ``(op, payload)`` tuple and gets exactly one
+    Every request is an ``(op, args)`` tuple and gets exactly one
     ``("ok", value)`` or ``("error", exception)`` reply, so the parent and
     worker can never desynchronise.  Library errors (``ReproError`` family)
     travel back as values and are re-raised in the parent; the worker itself
@@ -305,12 +345,12 @@ def _shard_worker_main(
     tracker_inherited = _tracker_is_inherited()
     while True:
         try:
-            op, payload = conn.recv()
+            op, args = conn.recv()
         except (EOFError, OSError):
             break
         try:
             if op == "ingest":
-                name, total, entries, ctx = payload
+                name, total, entries, ctx = args
                 block = _worker_attach_shm(name, shm_cache, tracker_inherited)
                 values = np.ndarray(
                     (total,), dtype=np.float64, buffer=block.buf
@@ -322,59 +362,15 @@ def _shard_worker_main(
                     ],
                     trace_ctx=ctx,
                 )
-            elif op == "observe":
-                result = hub.observe(*payload)
-            elif op == "observe_stats":
-                result = hub.observe_with_stats(*payload)
-            elif op == "register":
-                tenant, monitor_id, spec, params, exist_ok = payload
-                result = hub.register(
-                    tenant, monitor_id, spec, params=params, exist_ok=exist_ok
-                )
-            elif op == "stats":
-                result = hub.stats(*payload)
-            elif op == "alerts":
-                result = hub.drain_alerts()
-            elif op == "list_monitors":
-                result = [
-                    (tenant, monitor_id, type(detector).__name__)
-                    for tenant, monitor_id, detector in hub.monitors()
-                ]
-            elif op == "export_monitors":
-                result = hub.export_monitors(payload[0])
-            elif op == "import_monitors":
-                result = hub.import_monitors(payload[0])
-            elif op == "forget_monitors":
-                result = hub.forget_monitors(payload[0])
+            elif op == "checkpoint":
+                result = {"path": str(hub.checkpoint()), **hub.describe()}
             elif op == "metrics":
                 result = {"shard": index, **hub.metrics()}
-            elif op == "trace_drain":
-                result = hub.drain_trace()
-            elif op == "events":
-                result = hub.journal_events(*payload)
-            elif op == "alerts_history":
-                result = hub.alerts_history(**payload[0])
-            elif op == "checkpoint":
-                path = hub.checkpoint()
-                result = {
-                    "path": str(path),
-                    "config_hash": hub.composition_hash(),
-                    "n_events": hub.n_events,
-                    "n_monitors": len(hub),
-                    "wal": hub.wal_head(),
-                }
-            elif op == "describe":
-                result = {
-                    "config_hash": hub.composition_hash(),
-                    "n_events": hub.n_events,
-                    "n_monitors": len(hub),
-                    "wal": hub.wal_head(),
-                }
-            elif op == "composition_hash":
-                result = hub.composition_hash()
             elif op == "stop":
                 _safe_send(conn, ("ok", None))
                 break
+            elif op in _WORKER_METHODS:
+                result = getattr(hub, op)(*args)
             else:
                 raise ShardError(f"unknown worker op {op!r}")
         except Exception as exc:  # repro: allow(broad-except) -- the worker op loop forwards every failure to the parent as an ('error', exc) reply; _call/_fan_out re-raise it in the caller's process, so nothing is swallowed
@@ -438,8 +434,6 @@ class ShardedHub:
     webhook_dead_letter:
         Dead-letter JSONL root for undeliverable webhook alerts; each shard
         writes ``<path>.shard-NN``.
-    start_method:
-        ``multiprocessing`` start method (``None`` = platform default).
     request_timeout:
         Seconds to wait for a worker's reply before declaring it hung
         (``None`` = wait forever).  A worker that is alive but wedged (a
@@ -474,7 +468,6 @@ class ShardedHub:
         wal_fsync: str = "batch",
         webhook: Optional[str] = None,
         webhook_dead_letter: Optional[str] = None,
-        start_method: Optional[str] = None,
         request_timeout: Optional[float] = None,
         tracer: Optional[Tracer] = None,
         journal: Optional[EventJournal] = None,
@@ -511,7 +504,7 @@ class ShardedHub:
         )
         #: Each shard's ingest staging segment (allocated by _spawn).
         self._shm_blocks: Dict[int, Any] = {}
-        self._context = multiprocessing.get_context(start_method)
+        self._context = multiprocessing.get_context()
         self._closed = False
         self._registry: Dict[_MonitorKey, int] = {}
         self._assignment: List[int] = default_slot_assignment(n_shards)
@@ -768,8 +761,8 @@ class ShardedHub:
         self._registry = {}
         placement: Dict[_MonitorKey, List[int]] = {}
         for index in range(self._n_shards):
-            for tenant, monitor_id, _ in self._call(index, "list_monitors"):
-                placement.setdefault((tenant, monitor_id), []).append(index)
+            for key in self._call(index, "keys"):
+                placement.setdefault(key, []).append(index)
         forgets: Dict[int, List[_MonitorKey]] = {}
         for key, holders in placement.items():
             owner = self._assignment[route_slot(*key)]
@@ -813,7 +806,7 @@ class ShardedHub:
             key: shard for key, shard in self._registry.items() if shard != index
         }
         stale: List[_MonitorKey] = []
-        for tenant, monitor_id, _ in self._call(index, "list_monitors"):
+        for tenant, monitor_id in self._call(index, "keys"):
             key = (tenant, monitor_id)
             owner = self._assignment[route_slot(tenant, monitor_id)]
             if owner == index:
@@ -830,8 +823,8 @@ class ShardedHub:
         if stale:
             self._call(index, "forget_monitors", stale)
 
-    #: Seconds :meth:`close` waits for a worker's ``stop`` reply before
-    #: falling back to ``terminate()``.  Bounded regardless of
+    #: Seconds :meth:`_stop_workers` waits for a worker's ``stop`` reply
+    #: before falling back to ``terminate()``.  Bounded regardless of
     #: ``request_timeout`` — an unbounded wait on a wedged-but-alive worker
     #: would hang shutdown and make the terminate fallback unreachable.
     _STOP_REPLY_TIMEOUT = 5.0
@@ -851,47 +844,53 @@ class ShardedHub:
         if conn is not None:
             conn.close()
 
-    def _stop_worker(self, process: Any, conn: Optional[Connection]) -> None:
-        """Gracefully stop one worker: ``stop`` op, then escalate."""
-        if process is not None and process.is_alive() and conn is not None:
+    def _stop_workers(
+        self, indices: Sequence[int], what: str
+    ) -> Optional[BaseException]:
+        """Stop the given workers; return the first failure (``None`` if none).
+
+        Every live worker is sent ``stop`` before any reply is awaited, so
+        the workers wind down together; each reply wait is bounded by
+        :attr:`_STOP_REPLY_TIMEOUT`, and then every worker is reaped
+        (:meth:`_reap`: join, terminate, kill), its pipe closed and its
+        staging segment released.  A worker that cannot be reaped is counted
+        and journaled as a ``what`` cleanup failure and does not keep the
+        others from stopping.
+        """
+        stopping: List[int] = []
+        for index in indices:
+            process, conn = self._processes[index], self._conns[index]
+            if process is None or not process.is_alive() or conn is None:
+                continue
             try:
                 conn.send(("stop", ()))
-                if conn.poll(self._STOP_REPLY_TIMEOUT):
-                    conn.recv()
-            except Exception:  # repro: allow(broad-except) -- best-effort graceful stop; the escalation ladder in _reap (join, terminate, kill) reaps the worker whatever happened to the pipe
+            except Exception:  # repro: allow(broad-except) -- a worker whose pipe refuses the stop op is already dead or wedged; the join/terminate/kill ladder below reaps it regardless
+                continue
+            stopping.append(index)
+        for index in stopping:
+            try:
+                if self._conns[index].poll(self._STOP_REPLY_TIMEOUT):
+                    self._conns[index].recv()
+            except Exception:  # repro: allow(broad-except) -- drain of the stop reply; a broken pipe here means the worker already exited, which is the goal
                 pass
-        self._reap(process, conn)
+        failure: Optional[BaseException] = None
+        for index in indices:
+            try:
+                self._reap(self._processes[index], self._conns[index])
+            except Exception as exc:  # repro: allow(broad-except) -- counted in n_cleanup_failures and journaled by _note_cleanup_failure; one unreapable worker must not keep the others from stopping, and the first failure is returned to the caller
+                self._note_cleanup_failure(what, shard=index)
+                logger.warning("%s: could not reap shard %d", what, index)
+                failure = failure or exc
+            self._release_shm_block(index)
+        return failure
 
     def close(self) -> None:
         """Stop every worker (graceful ``stop`` op, then terminate stragglers)."""
         if self._closed:
             return
-        stopping: List[int] = []
-        for index, process in enumerate(self._processes):
-            if process is None or not process.is_alive():
-                continue
-            try:
-                self._conns[index].send(("stop", ()))
-            except Exception:  # repro: allow(broad-except) -- a worker whose pipe refuses the stop op is already dead or wedged; the join/terminate/kill ladder below reaps it regardless
-                continue
-            stopping.append(index)
-        for index in stopping:
-            # Bounded wait for the reply; a wedged worker is terminated below.
-            try:
-                if self._conns[index].poll(self._STOP_REPLY_TIMEOUT):
-                    self._conns[index].recv()
-            except Exception:  # repro: allow(broad-except) -- shutdown drain of the stop reply; a broken pipe here means the worker already exited, which is the goal
-                pass
         self._closed = True
         try:
-            for index, process in enumerate(self._processes):
-                if process is None:
-                    continue
-                try:
-                    self._reap(process, self._conns[index])
-                except Exception:  # repro: allow(broad-except) -- counted in n_cleanup_failures and journaled by _note_cleanup_failure; one unreapable worker must not keep close() from reaping the rest
-                    self._note_cleanup_failure("close_worker", shard=index)
-                    logger.warning("close: could not reap shard %d", index)
+            self._stop_workers(range(len(self._processes)), "close_worker")
         finally:
             # Runs whatever happened above: the parent owns the staging
             # segments and the journal handle, and leaking them would
@@ -942,24 +941,12 @@ class ShardedHub:
             )
         return conn.recv()
 
-    def _call(self, index: int, op: str, *payload: Any) -> Any:
-        conn = self._conns[index]
-        if self._closed or conn is None:
-            raise ShardError(f"sharded hub is closed (shard {index})")
-        try:
-            conn.send((op, payload))
-            kind, value = self._recv(index)
-        except (BrokenPipeError, EOFError, OSError) as exc:
-            raise ShardError(
-                f"shard {index} worker is not responding ({exc!r}); "
-                f"respawn_shard({index}) resumes it from its checkpoint"
-            ) from exc
-        if kind == "error":
-            raise value
-        return value
+    def _call(self, index: int, op: str, *args: Any) -> Any:
+        """Run ``op`` on one shard and return its reply (see :meth:`_fan_out`)."""
+        return self._fan_out([index], [(op, args)])[0]
 
     def _broadcast(
-        self, op: str, *payload: Any, tolerate_dead: bool = False
+        self, op: str, *args: Any, tolerate_dead: bool = False
     ) -> List[Any]:
         """Send one request to every shard, then collect every reply.
 
@@ -971,7 +958,7 @@ class ShardedHub:
         """
         return self._fan_out(
             range(self._n_shards),
-            [(op, payload)] * self._n_shards,
+            [(op, args)] * self._n_shards,
             tolerate_dead=tolerate_dead,
         )
 
@@ -983,10 +970,11 @@ class ShardedHub:
     ) -> List[Any]:
         """Fan requests out to ``indices``; return the replies in that order.
 
-        A dead shard never aborts the exchange half-way: the replies of the
-        shards that did get the request are always collected (or their pipes
-        would desynchronise into returning stale replies to the *next*
-        request).  With ``tolerate_dead=False`` a dead shard then raises
+        A dead shard — a broken pipe, no pipe at all, EOF or a reply timeout
+        — never aborts the exchange half-way: the replies of the shards that
+        did get the request are always collected (or their pipes would
+        desynchronise into returning stale replies to the *next* request).
+        With ``tolerate_dead=False`` a dead shard then raises
         :class:`ShardError`; with ``tolerate_dead=True`` its reply is simply
         absent — for read paths that must keep working on a degraded cluster
         (``stats``/``drain_alerts``).  Errors raised *by* live workers
@@ -999,16 +987,14 @@ class ShardedHub:
         sent: List[int] = []
         dead_error: Optional[BaseException] = None
         worker_error: Optional[BaseException] = None
-        for index, (op, payload) in zip(indices, messages):
+        for index, message in zip(indices, messages):
+            conn = self._conns[index]
             try:
-                self._conns[index].send((op, payload))
-            except (BrokenPipeError, OSError) as exc:
-                error = ShardError(
-                    f"shard {index} worker is not responding ({exc!r}); "
-                    f"respawn_shard({index}) resumes it from its checkpoint"
-                )
-                error.__cause__ = exc
-                dead_error = dead_error or error
+                if conn is None:
+                    raise ConnectionError("the shard has no worker pipe")
+                conn.send(message)
+            except OSError as exc:
+                dead_error = dead_error or _dead_shard_error(index, exc)
             else:
                 sent.append(index)
         # Phase 2: collect one reply per delivered request.
@@ -1017,12 +1003,7 @@ class ShardedHub:
             try:
                 kind, value = self._recv(index)
             except (EOFError, OSError) as exc:
-                error = ShardError(
-                    f"shard {index} worker died mid-request ({exc!r}); "
-                    f"respawn_shard({index}) resumes it from its checkpoint"
-                )
-                error.__cause__ = exc
-                dead_error = dead_error or error
+                dead_error = dead_error or _dead_shard_error(index, exc)
                 continue
             except ShardError as exc:  # _recv timeout killed a hung worker
                 dead_error = dead_error or exc
@@ -1122,19 +1103,15 @@ class ShardedHub:
         """
         key = (str(tenant), str(monitor_id))
         shard = self._assignment[route_slot(key[0], key[1])]
-        info = self._call(
-            shard, "register", key[0], key[1], detector, dict(params) if params else None, exist_ok
-        )
+        if isinstance(params, Mapping):
+            params = dict(params)  # a dict pickles; not every Mapping does
+        info = self._call(shard, "register", key[0], key[1], detector, params, exist_ok)
         self._registry[key] = shard
         return info
 
     def shard_of(self, tenant: str, monitor_id: str) -> int:
         """The shard the assignment table routes a key to (registered or not)."""
         return self._assignment[route_slot(str(tenant), str(monitor_id))]
-
-    def slot_of(self, tenant: str, monitor_id: str) -> int:
-        """The slot a key hashes into (layout-independent)."""
-        return route_slot(str(tenant), str(monitor_id))
 
     def __len__(self) -> int:
         return len(self._registry)
@@ -1181,22 +1158,7 @@ class ShardedHub:
         trace_ctx: Optional[TraceContext] = None,
     ) -> ObserveResult:
         """Feed one monitor a value or chunk of values (oldest first)."""
-        key, shard = self._shard_for(tenant, monitor_id)
-        span = self._tracer.begin(
-            "hub.route", trace_ctx, tenant=key[0], monitor=key[1], shard=shard
-        )
-        try:
-            return self._call(
-                shard,
-                "observe",
-                key[0],
-                key[1],
-                values,
-                span.context() if span is not None else None,
-            )
-        finally:
-            if span is not None:
-                span.end()
+        return self._route("observe", tenant, monitor_id, values, trace_ctx)
 
     def observe_with_stats(
         self,
@@ -1207,6 +1169,18 @@ class ShardedHub:
     ) -> Tuple[ObserveResult, Dict[str, Any]]:
         """Feed one monitor and return ``(outcome, per-monitor stats)`` in a
         single worker round-trip (the server's ``observe`` op)."""
+        return self._route("observe_with_stats", tenant, monitor_id, values, trace_ctx)
+
+    def _route(
+        self,
+        op: str,
+        tenant: str,
+        monitor_id: str,
+        values: Any,
+        trace_ctx: Optional[TraceContext],
+    ) -> Any:
+        """Run the worker hub's ``op(tenant, monitor_id, values, ctx)`` on
+        the monitor's owning shard, under one ``hub.route`` span."""
         key, shard = self._shard_for(tenant, monitor_id)
         span = self._tracer.begin(
             "hub.route", trace_ctx, tenant=key[0], monitor=key[1], shard=shard
@@ -1214,7 +1188,7 @@ class ShardedHub:
         try:
             return self._call(
                 shard,
-                "observe_stats",
+                op,
                 key[0],
                 key[1],
                 values,
@@ -1305,12 +1279,15 @@ class ShardedHub:
         return {
             "n_monitors": len(keys),
             "n_tenants": len({key[0] for key in keys}),
-            "n_events": sum(stats["n_events"] for stats in shard_stats),
-            "n_drifts": sum(stats["n_drifts"] for stats in shard_stats),
-            "n_warnings": sum(stats["n_warnings"] for stats in shard_stats),
-            "n_sink_failures": sum(
-                stats["n_sink_failures"] for stats in shard_stats
+            **_sums(
+                shard_stats, ("n_events", "n_drifts", "n_warnings", "n_sink_failures")
             ),
+            **self._cluster_counters(),
+        }
+
+    def _cluster_counters(self) -> Dict[str, int]:
+        """The cluster-level counters of :meth:`stats` and :meth:`metrics`."""
+        return {
             "n_shards": self._n_shards,
             "n_alive_shards": self._n_shards - len(self.dead_shards()),
             "n_cleanup_failures": self._n_cleanup_failures,
@@ -1319,10 +1296,7 @@ class ShardedHub:
     @property
     def n_events(self) -> int:
         """Total values observed across all live shards (lifetime)."""
-        return sum(
-            stats["n_events"]
-            for stats in self._broadcast("stats", None, None, tolerate_dead=True)
-        )
+        return int(self.stats()["n_events"])
 
     def metrics(self) -> Dict[str, Any]:
         """Cluster telemetry: summed counters plus every live shard's detail.
@@ -1333,18 +1307,15 @@ class ShardedHub:
         latency percentiles, WAL and sink counters).
         """
         shard_metrics = self._broadcast("metrics", tolerate_dead=True)
+        sums = _sums(
+            shard_metrics,
+            ("n_events", "ingest_rate", "n_sink_failures", "n_wal_replayed", "n_replay_suppressed"),
+        )
+        sums["ingest_rate"] = round(sums["ingest_rate"], 3)
         return {
-            "n_shards": self._n_shards,
-            "n_alive_shards": self._n_shards - len(self.dead_shards()),
             "n_monitors": len(self._registry),
-            "n_events": sum(m["n_events"] for m in shard_metrics),
-            "ingest_rate": round(sum(m["ingest_rate"] for m in shard_metrics), 3),
-            "n_sink_failures": sum(m["n_sink_failures"] for m in shard_metrics),
-            "n_wal_replayed": sum(m["n_wal_replayed"] for m in shard_metrics),
-            "n_replay_suppressed": sum(
-                m["n_replay_suppressed"] for m in shard_metrics
-            ),
-            "n_cleanup_failures": self._n_cleanup_failures,
+            **sums,
+            **self._cluster_counters(),
             "trace": self._tracer.stats(),
             "shards": shard_metrics,
         }
@@ -1370,7 +1341,7 @@ class ShardedHub:
         the worker).
         """
         spans = self._tracer.drain()
-        for shard_spans in self._broadcast("trace_drain", tolerate_dead=True):
+        for shard_spans in self._broadcast("drain_trace", tolerate_dead=True):
             spans.extend(shard_spans)
         return spans
 
@@ -1387,7 +1358,7 @@ class ShardedHub:
         check_limit(limit)
         events = self._journal.events(kind=kind)
         for shard_events in self._broadcast(
-            "events", None, kind, tolerate_dead=True
+            "journal_events", None, kind, tolerate_dead=True
         ):
             events.extend(shard_events)
         events.sort(key=lambda event: event.get("ts", 0.0))
@@ -1414,19 +1385,13 @@ class ShardedHub:
         the fan-out query still finds them (until that WAL prunes), the
         owner-routed query covers everything since the move.
         """
-        filters = {
-            "tenant": tenant,
-            "monitor_id": monitor_id,
-            "since": since,
-            "until": until,
-            "limit": limit,
-        }
+        filters = (tenant, monitor_id, since, until, limit)
         if tenant is not None and monitor_id is not None:
             key, shard = self._shard_for(tenant, monitor_id)
-            return self._call(shard, "alerts_history", filters)
+            return self._call(shard, "alerts_history", *filters)
         merged: List[Dict[str, Any]] = []
         for shard_history in self._broadcast(
-            "alerts_history", filters, tolerate_dead=True
+            "alerts_history", *filters, tolerate_dead=True
         ):
             merged.extend(shard_history)
         merged.sort(key=lambda record: (record.get("ts", 0.0), record.get("seq", 0)))
@@ -1449,7 +1414,7 @@ class ShardedHub:
         self._parked_alerts = []
         n_dropped = self._parked_dropped
         for shard_alerts, shard_dropped in self._broadcast(
-            "alerts", tolerate_dead=True
+            "drain_alerts", tolerate_dead=True
         ):
             alerts.extend(shard_alerts)
             n_dropped += shard_dropped
@@ -1705,9 +1670,10 @@ class ShardedHub:
                 self._note_cleanup_failure("reshard_forget", shard=source)
                 logger.warning("reshard cleanup: shard %d forget failed", source)
                 cleanup_error = cleanup_error or exc
-        for index in range(n_shards, old_n):
+        retiring = range(n_shards, old_n)
+        for index in retiring:
             try:
-                parked, dropped = self._call(index, "alerts")
+                parked, dropped = self._call(index, "drain_alerts")
                 self._parked_alerts.extend(parked)
                 self._parked_dropped += dropped
             except Exception as exc:  # repro: allow(broad-except) -- counted in n_cleanup_failures and journaled by _note_cleanup_failure; the first failure is re-raised as ShardError after the remaining cleanup steps run
@@ -1716,22 +1682,10 @@ class ShardedHub:
                     "reshard cleanup: could not drain retiring shard %d", index
                 )
                 cleanup_error = cleanup_error or exc
-            try:
-                self._stop_worker(self._processes[index], self._conns[index])
-            except Exception as exc:  # repro: allow(broad-except) -- counted in n_cleanup_failures and journaled by _note_cleanup_failure; one wedged retiring worker must not keep the remaining shards from stopping or their shm from releasing
-                self._note_cleanup_failure("retiring_shard_stop", shard=index)
-                logger.warning(
-                    "reshard cleanup: could not stop retiring shard %d", index
-                )
-                cleanup_error = cleanup_error or exc
+        stop_error = self._stop_workers(retiring, "retiring_shard_stop")
+        cleanup_error = cleanup_error or stop_error
         del self._processes[n_shards:]
         del self._conns[n_shards:]
-        for index in range(n_shards, old_n):
-            try:
-                self._release_shm_block(index)
-            except Exception as exc:  # repro: allow(broad-except) -- counted in n_cleanup_failures and journaled by _note_cleanup_failure; the remaining retiring segments must still be released
-                self._note_cleanup_failure("retiring_shard_shm", shard=index)
-                cleanup_error = cleanup_error or exc
         self._reshard_stage("cleanup")
         if self._checkpoint_dir is not None and cleanup_error is None:
             try:
@@ -1777,22 +1731,11 @@ class ShardedHub:
                     "reshard abort: could not roll back imports on shard %d",
                     target,
                 )
-        for index in sorted(spawned, reverse=True):
-            try:
-                self._stop_worker(self._processes[index], self._conns[index])
-            except Exception:  # repro: allow(broad-except) -- counted in n_cleanup_failures and journaled by _note_cleanup_failure; the rollback must still retire the other spawned workers and restore the old layout lists
-                self._note_cleanup_failure("abort_retire_worker", shard=index)
-                logger.warning(
-                    "reshard abort: could not stop spawned worker %d", index
-                )
-            # The list surgery is not best-effort: the old layout's lists
-            # must shrink back even when stopping one worker failed.
-            del self._processes[index]
-            del self._conns[index]
-            try:
-                self._release_shm_block(index)
-            except Exception:  # repro: allow(broad-except) -- counted in n_cleanup_failures and journaled by _note_cleanup_failure; the rollback must still release the other spawned workers' segments
-                self._note_cleanup_failure("abort_release_shm", shard=index)
+        self._stop_workers(spawned, "abort_retire_worker")
+        # The list surgery is not best-effort: the old layout's lists must
+        # shrink back even when stopping a worker failed.
+        del self._processes[old_n:]
+        del self._conns[old_n:]
         if baseline_reports is not None:
             try:
                 self._write_manifest(baseline_reports)

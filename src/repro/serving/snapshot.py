@@ -23,6 +23,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import reprlib
 import tempfile
 from pathlib import Path
 from typing import Any, Dict, Mapping, Optional, Type, Union
@@ -105,8 +106,12 @@ def detector_registry() -> Dict[str, Type[DriftDetector]]:
 
 def resolve_detector_class(name: str) -> Type[DriftDetector]:
     """Look up a detector class by registry name (case-tolerant)."""
+    if not isinstance(name, str):
+        raise ConfigurationError(
+            f"detector must be a registry name string, got {reprlib.repr(name)}"
+        )
     registry = detector_registry()
-    cls = registry.get(name) or registry.get(str(name).upper())
+    cls = registry.get(name) or registry.get(name.upper())
     if cls is None:
         known = sorted({klass.__name__ for klass in registry.values()})
         raise ConfigurationError(
@@ -120,6 +125,11 @@ def build_detector(
 ) -> DriftDetector:
     """Construct a fresh detector from a registry name and constructor kwargs."""
     cls = resolve_detector_class(name)
+    if params is not None and not isinstance(params, Mapping):
+        raise ConfigurationError(
+            "params must be an object of constructor arguments or null, "
+            f"got {reprlib.repr(params)}"
+        )
     try:
         return cls(**dict(params or {}))
     except TypeError as exc:

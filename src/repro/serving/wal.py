@@ -60,7 +60,9 @@ from __future__ import annotations
 
 import json
 import logging
+import numbers
 import os
+import reprlib
 import signal
 import struct
 import time
@@ -523,9 +525,17 @@ class AlertWal:
 
         ``since``/``until`` bound the alert timestamp (inclusive); ``limit``
         keeps the *newest* matches.  History depth is bounded by segment
-        retention — pruned segments' alerts are gone.
+        retention — pruned segments' alerts are gone.  A bound that is not a
+        number (a bool included) raises :class:`ConfigurationError`.
         """
         check_limit(limit)
+        for field, bound in (("since", since), ("until", until)):
+            if bound is not None and (
+                isinstance(bound, bool) or not isinstance(bound, numbers.Real)
+            ):
+                raise ConfigurationError(
+                    f"{field} must be a number or null, got {reprlib.repr(bound)}"
+                )
         matches: deque = deque(maxlen=limit)
         for record in self.iter_alerts():
             if tenant is not None and record.get("tenant") != str(tenant):

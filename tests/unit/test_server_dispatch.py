@@ -3,9 +3,11 @@
 ``_dispatch_line`` is what a connection runs for every request line, so
 these tests pin wire responses without opening sockets: ``reshard`` on a
 single-process hub, the ``limit`` validation of the ``events`` and
-``alerts_history`` ops, and the decode and value boundary (undecodable
-lines, non-finite literals, malformed payloads), on both hubs.  One socket
-test checks that a connection keeps answering after undecodable lines.
+``alerts_history`` ops, the ``since``/``until`` bounds of
+``alerts_history``, the ``detector``/``params`` fields of ``register``, and
+the decode and value boundary (undecodable lines, non-finite literals,
+malformed payloads), on both hubs.  One socket test checks that a
+connection keeps answering after undecodable lines.
 """
 
 from __future__ import annotations
@@ -19,6 +21,12 @@ import pytest
 from repro.exceptions import ConfigurationError
 from repro.serving import MonitorHub, ServingServer, ShardedHub
 from repro.serving.server import MAX_NESTING
+from repro.streams.error_streams import BinarySegment, binary_error_stream
+
+#: A binary error stream whose rate jumps mid-way: DDM warns and drifts on it.
+DRIFTING = binary_error_stream(
+    [BinarySegment(500, 0.1), BinarySegment(500, 0.65)], seed=7
+).values
 
 
 @pytest.fixture(params=["single", "sharded"])
@@ -228,3 +236,57 @@ def test_malformed_observe_values_are_a_plain_error(server, values):
         f"numbers, got {reprlib.repr(values)}",
     }
     assert server.hub.stats("t", "m")["n_seen"] == 0
+
+
+# ------------------------------------------------------ request fields
+
+
+def _log_alerts(hub):
+    """Register a monitor and feed it a drifting stream: the WAL holds alerts."""
+    hub.register("t", "m", "DDM")
+    hub.ingest([("t", "m", DRIFTING)])
+    assert hub.alerts_history()
+
+
+@pytest.mark.parametrize("field", ["since", "until"])
+@pytest.mark.parametrize("bound", ["yesterday", [1], {"ts": 1}, True, "1e9"])
+def test_non_numeric_history_bound_is_a_plain_error(server, field, bound):
+    _log_alerts(server.hub)
+    assert _request(server, op="alerts_history", **{field: bound}) == {
+        "ok": False,
+        "error": f"{field} must be a number or null, got {reprlib.repr(bound)}",
+    }
+    every = _request(server, op="alerts_history", **{field: None})["alerts"]
+    assert every
+    assert _request(server, op="alerts_history", since=0, until=2**62)["alerts"] == every
+    assert _request(server, op="alerts_history", until=0)["alerts"] == []
+
+
+#: What ``register`` answers for a field of the wrong type, before the value.
+REGISTER_FIELD_ERRORS = {
+    "detector": "detector must be a registry name string, got ",
+    "params": "params must be an object of constructor arguments or null, got ",
+}
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("params", "ab"),
+        ("params", [1, 2]),
+        ("params", ""),
+        ("detector", ["DDM"]),
+        ("detector", {"a": 1}),
+        ("detector", None),
+    ],
+)
+def test_malformed_register_fields_are_a_plain_error(server, field, value):
+    request = {"op": "register", "tenant": "t", "monitor": "m", "detector": "DDM"}
+    assert _request(server, **{**request, field: value}) == {
+        "ok": False,
+        "error": REGISTER_FIELD_ERRORS[field] + reprlib.repr(value),
+    }
+    assert ("t", "m") not in server.hub
+    assert server.hub.stats()["n_monitors"] == 0
+    # The refusal left nothing behind: the same key registers cleanly.
+    assert _request(server, **request)["ok"]

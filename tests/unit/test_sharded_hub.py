@@ -2,7 +2,8 @@
 
 The suite runs real worker processes (2 shards, small streams) — routing
 determinism, bit-identical detections versus a single-process
-:class:`MonitorHub`, manifest/resume semantics, and failure paths.  The
+:class:`MonitorHub`, manifest/resume semantics, the worker's request
+surface, and failure paths (cleanup failures counted and journaled).  The
 SIGKILL/respawn integration lives in
 ``tests/integration/test_sharded_serving.py``.
 """
@@ -709,3 +710,122 @@ def test_retired_shard_alerts_are_parked_not_lost():
     ) == sorted(
         (a.tenant, a.monitor_id, a.seq, a.kind, a.position) for a in ref_alerts
     )
+
+
+# ------------------------------------------------- worker request surface
+
+
+def test_worker_refuses_ops_outside_its_method_list():
+    """A worker runs only the hub methods it lists: ``close``, an attribute
+    name and an unknown name are each refused with a reply, and the shard
+    keeps answering on the same pipe afterwards."""
+    with ShardedHub(2) as hub:
+        hub.register("t", "m", "DDM")
+        shard = hub.shard_of("t", "m")
+        for op in ("close", "checkpoint_dir", "no_such_op"):
+            with pytest.raises(ShardError, match=f"unknown worker op '{op}'"):
+                hub._call(shard, op)
+            assert hub.observe("t", "m", [1.0, 0.0]).n_processed == 2
+        assert hub.stats("t", "m")["n_seen"] == 6
+
+
+def test_owner_routed_history_matches_single_hub(tmp_path):
+    """``alerts_history(tenant, monitor)`` routes to the owning shard and
+    returns the same alerts a single hub logs for the same traffic."""
+    single = MonitorHub(wal_dir=tmp_path / "single")
+    _register_fleet(single)
+    single.ingest(_interleaved_events(VALUES))
+    try:
+        with ShardedHub(2, wal_dir=tmp_path / "sharded") as hub:
+            _register_fleet(hub)
+            hub.ingest(_interleaved_events(VALUES))
+            n_alerts = 0
+            for tenant, monitor_id, _, _ in MONITORS:
+                expected = [
+                    (r["kind"], r["position"], r["seq"])
+                    for r in single.alerts_history(tenant, monitor_id)
+                ]
+                assert [
+                    (r["kind"], r["position"], r["seq"])
+                    for r in hub.alerts_history(tenant, monitor_id)
+                ] == expected
+                n_alerts += len(expected)
+            assert n_alerts > 0  # the stream drifts
+    finally:
+        single.close()
+
+
+def _fail_reaps(monkeypatch, hub):
+    """Make each of ``hub``'s reaps raise after it has reaped, so the
+    failure is recorded and still no worker outlives the test."""
+    reap = hub._reap
+
+    def failing_reap(process, conn):
+        reap(process, conn)
+        raise OSError("reap failed")
+
+    monkeypatch.setattr(hub, "_reap", failing_reap)
+
+
+def _cleanup_failures(journal):
+    return [(e["what"], e.get("shard")) for e in journal.events(kind="cleanup_failure")]
+
+
+def test_failed_retire_is_counted_and_fails_the_committed_reshard(
+    tmp_path, monkeypatch
+):
+    hub = ShardedHub(3, checkpoint_dir=tmp_path)
+    try:
+        _register_fleet(hub)
+        _fail_reaps(monkeypatch, hub)
+        with pytest.raises(ShardError, match="committed, but its cleanup failed"):
+            hub.reshard(2)
+        monkeypatch.undo()
+        assert hub.n_shards == 2
+        assert _cleanup_failures(hub.journal) == [("retiring_shard_stop", 2)]
+        assert hub.stats()["n_cleanup_failures"] == 1
+        assert hub.metrics()["n_cleanup_failures"] == 1
+    finally:
+        hub.close()
+
+
+def test_failed_reaps_on_close_are_counted_per_shard(monkeypatch):
+    from repro.obs.journal import EventJournal
+
+    journal = EventJournal(capacity=64)  # outlives the hub's close()
+    hub = ShardedHub(2, journal=journal)
+    _fail_reaps(monkeypatch, hub)
+    hub.close()
+    assert sorted(_cleanup_failures(journal)) == [("close_worker", 0), ("close_worker", 1)]
+    assert hub._n_cleanup_failures == 2
+    assert all(not process.is_alive() for process in hub._processes)
+
+
+def test_failed_reaps_on_an_aborted_grow_are_counted(tmp_path, monkeypatch):
+    """A 2 -> 4 grow whose second new worker cannot get shared memory rolls
+    back; reaps that fail while it retires the spawned workers are counted."""
+    from multiprocessing import shared_memory
+
+    real = shared_memory.SharedMemory
+    n_allocations = 0
+
+    def second_allocation_fails(*args, **kwargs):
+        nonlocal n_allocations
+        n_allocations += 1
+        if n_allocations > 1:
+            raise OSError("no space left on device")
+        return real(*args, **kwargs)
+
+    with ShardedHub(2, checkpoint_dir=tmp_path) as hub:
+        _register_fleet(hub)
+        _fail_reaps(monkeypatch, hub)
+        monkeypatch.setattr(shared_memory, "SharedMemory", second_allocation_fails)
+        with pytest.raises(ShardError, match="shared-memory segment"):
+            hub.reshard(4)
+        monkeypatch.undo()
+        failures = _cleanup_failures(hub.journal)
+        assert ("abort_retire_worker", 2) in failures
+        assert {what for what, _ in failures} == {"abort_retire_worker"}
+        assert hub.stats()["n_cleanup_failures"] == len(failures)
+        assert hub.n_shards == 2 and len(hub._processes) == 2
+        assert hub.stats()["n_alive_shards"] == 2
