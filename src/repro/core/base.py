@@ -185,12 +185,17 @@ class DriftDetector(abc.ABC):
     """
 
     #: Maximum number of elements evaluated by one vectorised segment of a
-    #: batched fast path.  Shared by every ``update_batch`` override so the
-    #: segmentation policy is tuned in one place.
+    #: batched fast path, and the first segment's length in every call.
+    #: Shared by every ``update_batch`` override through
+    #: :meth:`_segment_limit`, so the segmentation policy is tuned in one
+    #: place.
     _BATCH_CHUNK = 8192
-    #: Segment size right after a drift/boundary event; the fast paths grow
-    #: it geometrically back to :attr:`_BATCH_CHUNK` so drift-dense streams
-    #: do not redo full-chunk vector work for every few consumed elements.
+    #: Smallest segment after a drift/boundary event.  The segment after a
+    #: drift is as long as the stretch the detector consumed since its
+    #: previous reset, so a 1,024-value serving chunk whose drifts are
+    #: thousands of values apart finishes in one segment, while drift-dense
+    #: streams (drifts under this many values apart) do not redo full-chunk
+    #: vector work for every few consumed elements.
     _BATCH_RESTART = 256
 
     def __init__(self) -> None:
@@ -427,6 +432,21 @@ class DriftDetector(abc.ABC):
         self._n_drifts = 0
         self._n_warnings = 0
         self._last_result = DetectionResult()
+
+    def _segment_limit(self, stretch: int) -> int:
+        """Length of a fast path's next vectorised segment.
+
+        After a drift, ``stretch`` is the number of values the detector
+        consumed since its previous reset: the next drift is likely about
+        as far away, so one segment of that length covers the rest of a
+        typical chunk without paying the vector set-up twice.  After a
+        segment that ended without one, ``stretch`` is four times the
+        previous limit (geometric growth back to :attr:`_BATCH_CHUNK`).
+        The result is clamped to ``[_BATCH_RESTART, _BATCH_CHUNK]``.
+        Segment lengths never change detections, only how much vector
+        work a drift discards.
+        """
+        return min(max(stretch, self._BATCH_RESTART), self._BATCH_CHUNK)
 
     def _commit_batch(
         self,

@@ -303,15 +303,13 @@ class Optwin(DriftDetector):
             return BatchResult(0)
         drift_indices: List[int] = []
         warning_indices: List[int] = []
-        last_drift = False
-        last_warning = False
-        last_type: Optional[DriftType] = None
+        drift_type: Optional[DriftType] = None
         config = self._config
+        window = self._window
         threshold = PrefixStats._COMPACT_THRESHOLD
         position = 0
         limit = self._BATCH_CHUNK
         while position < n:
-            window = self._window
             if (
                 len(window) >= config.w_max
                 and window.dead_prefix == threshold - 1
@@ -325,48 +323,39 @@ class Optwin(DriftDetector):
                 outcome = self._update_one(float(arr[position]))
                 if outcome.drift_detected:
                     drift_indices.append(position)
+                    drift_type = outcome.drift_type
                 if outcome.warning_detected:
                     warning_indices.append(position)
-                last_drift = outcome.drift_detected
-                last_warning = outcome.warning_detected
-                last_type = outcome.drift_type
                 position += 1
                 continue
-            consumed, drift_rel, warn_rel, drift_type = self._batch_segment(
-                arr, position, limit
+            held = len(window)
+            consumed, drift_rel, segment_type = self._batch_segment(
+                arr, position, limit, warning_indices
             )
-            for rel in warn_rel:
-                warning_indices.append(position + rel)
             if drift_rel is not None:
                 drift_index = position + drift_rel
                 drift_indices.append(drift_index)
                 warning_indices.append(drift_index)
-                last_drift = last_warning = drift_index == n - 1
-                last_type = drift_type if last_drift else None
-                limit = self._BATCH_RESTART
+                drift_type = segment_type
+                limit = self._segment_limit(held + consumed)
             else:
-                last_drift = False
-                last_warning = bool(warn_rel) and warn_rel[-1] == consumed - 1
-                last_type = None
-                limit = min(limit * 4, self._BATCH_CHUNK)
+                limit = self._segment_limit(limit * 4)
             position += consumed
-        last_result = DetectionResult(
-            drift_detected=last_drift,
-            warning_detected=last_drift or last_warning,
-            drift_type=last_type,
-        )
-        self._commit_batch(
-            n, len(drift_indices), len(warning_indices), last_result
-        )
-        return BatchResult(n, drift_indices, warning_indices)
+        return self._finish_batch(n, drift_indices, warning_indices, drift_type)
 
     def _batch_segment(
-        self, arr: "np.ndarray", position: int, limit: int
-    ) -> Tuple[int, Optional[int], List[int], Optional[DriftType]]:
+        self,
+        arr: "np.ndarray",
+        position: int,
+        limit: int,
+        warning_indices: List[int],
+    ) -> Tuple[int, Optional[int], Optional[DriftType]]:
         """Vectorise one segment starting at ``arr[position]``.
 
-        Returns ``(consumed, drift_rel, warning_rels, drift_type)`` where the
-        ``rel`` indices are relative to ``position``.  The segment is capped so
+        Returns ``(consumed, drift_rel, drift_type)`` where ``drift_rel`` is
+        relative to ``position``, and appends the positions of the warnings
+        before the segment's drift (if any) to ``warning_indices``, as
+        positions in ``arr``.  The segment is capped so
         that the storage compaction point can never fall inside it (the caller
         runs the compaction-triggering element itself through the scalar
         path) — scalar and batched execution then drive :class:`PrefixStats`
@@ -402,7 +391,7 @@ class Optwin(DriftDetector):
         if start_valid >= seg:
             # The whole segment is below w_min: no tests, no evictions.
             self._all_values_binary = bool(all_binary[-1])
-            return seg, None, [], None
+            return seg, None, None
 
         dense = self._cut_table.dense(max_len, self._warning_confidence())
         prefix, prefix_sq, _, end = window.raw_arrays()
@@ -492,21 +481,22 @@ class Optwin(DriftDetector):
         else:
             warning = np.zeros(jj.shape[0], dtype=bool)
 
+        base = position + start_valid
         drift_positions = np.flatnonzero(drift)
         if drift_positions.size == 0:
-            warn_rel = (np.flatnonzero(warning) + start_valid).tolist()
+            warning_indices.extend((np.flatnonzero(warning) + base).tolist())
             evicted = w0 + seg - config.w_max
             if evicted > 0:
                 window.popleft_many(evicted)
             self._all_values_binary = bool(all_binary[-1])
-            return seg, None, warn_rel, None
+            return seg, None, None
 
         drift_rel_valid = int(drift_positions[0])
         drift_rel = start_valid + drift_rel_valid
         consumed = drift_rel + 1
-        warn_rel = (
-            np.flatnonzero(warning[:drift_rel_valid]) + start_valid
-        ).tolist()
+        warning_indices.extend(
+            (np.flatnonzero(warning[:drift_rel_valid]) + base).tolist()
+        )
         drift_type = (
             DriftType.VARIANCE if variance_drift[drift_rel_valid] else DriftType.MEAN
         )
@@ -521,7 +511,7 @@ class Optwin(DriftDetector):
             window.popleft_many(evicted)
         self._apply_reset(n_hist_at_drift, length_at_drift)
         self._all_values_binary = bool(all_binary[drift_rel])
-        return consumed, drift_rel, warn_rel, drift_type
+        return consumed, drift_rel, drift_type
 
     def reset(self) -> None:
         """Clear the sliding window and the bookkeeping counters."""

@@ -181,7 +181,7 @@ class Ddm(DriftDetector):
                 self._error_sum = float(sums[-1])
                 self._error_rate = float(rates[-1])
                 position += count
-                limit = min(limit * 4, self._BATCH_CHUNK)
+                limit = self._segment_limit(limit * 4)
                 continue
 
             rates_v = rates[start_valid:]
@@ -200,10 +200,10 @@ class Ddm(DriftDetector):
                 levels_v >= p_min + self._warning_level * s_min
             )
 
+            base = position + start_valid
             drift_positions = np.flatnonzero(drift)
             if drift_positions.size == 0:
-                for rel in np.flatnonzero(warning):
-                    warning_indices.append(position + start_valid + int(rel))
+                warning_indices.extend((np.flatnonzero(warning) + base).tolist())
                 self._n += count
                 self._error_sum = float(sums[-1])
                 self._error_rate = float(rates[-1])
@@ -213,18 +213,19 @@ class Ddm(DriftDetector):
                     self._s_min = float(stds_v[final_change])
                     self._ps_min = float(levels_v[final_change])
                 position += count
-                limit = min(limit * 4, self._BATCH_CHUNK)
+                limit = self._segment_limit(limit * 4)
                 continue
 
             drift_rel = int(drift_positions[0])
-            for rel in np.flatnonzero(warning[:drift_rel]):
-                warning_indices.append(position + start_valid + int(rel))
-            drift_index = position + start_valid + drift_rel
+            warning_indices.extend(
+                (np.flatnonzero(warning[:drift_rel]) + base).tolist()
+            )
+            drift_index = base + drift_rel
             drift_indices.append(drift_index)
             warning_indices.append(drift_index)
+            limit = self._segment_limit(self._n + start_valid + drift_rel + 1)
             self._init_state()
             position = drift_index + 1
-            limit = self._BATCH_RESTART
 
         return self._finish_batch(
             n, drift_indices, warning_indices, DriftType.MEAN

@@ -178,38 +178,42 @@ class Eddm(DriftDetector):
         sqrt = math.sqrt
 
         # ``n_offset`` maps chunk positions to the scalar instance counter:
-        # scalar ``self._n`` after element ``pos`` equals ``n_offset + pos + 1``
+        # scalar ``self._n`` after element ``pos`` equals ``n_offset + pos``
         # (a drift zeroes the counter, i.e. rebases the offset).
-        n_offset = self._n
+        n_offset = self._n + 1
         n_errors = self._n_errors
         last_error = self._last_error_index
         mean = self._distance_mean
         m2 = self._distance_m2
         max_level = self._max_level
 
+        # The distance stays a Python int: mixed int/float arithmetic
+        # converts it exactly, so every float operation is the scalar one.
         for pos in error_positions:
-            n_now = n_offset + pos + 1
-            distance = float(n_now - last_error)
+            n_now = n_offset + pos
+            distance = n_now - last_error
             last_error = n_now
             n_errors += 1
             delta = distance - mean
             mean += delta / n_errors
             m2 += delta * (distance - mean)
             variance = m2 / (n_errors - 1) if n_errors > 1 else 0.0
-            std = sqrt(max(variance, 0.0))
-            level = mean + 2.0 * std
-            if n_now < min_instances or n_errors < min_errors:
-                if level > max_level:
-                    max_level = level
-                continue
+            # max() as in the scalar code, but only where it can change the
+            # value: a variance that is not positive.
+            level = mean + 2.0 * sqrt(
+                variance if variance > 0.0 else max(variance, 0.0)
+            )
+            # A new maximum is recorded during warm-up and after it alike.
             if level > max_level:
                 max_level = level
+                continue
+            if n_now < min_instances or n_errors < min_errors:
                 continue
             ratio = level / max_level if max_level > 0 else 1.0
             if ratio < beta:
                 drift_indices.append(pos)
                 warning_indices.append(pos)
-                n_offset = -(pos + 1)
+                n_offset = -pos
                 n_errors = 0
                 last_error = 0
                 mean = 0.0
@@ -218,7 +222,7 @@ class Eddm(DriftDetector):
             elif ratio < alpha:
                 warning_indices.append(pos)
 
-        self._n = n_offset + n
+        self._n = n_offset + n - 1
         self._n_errors = n_errors
         self._last_error_index = last_error
         self._distance_mean = mean

@@ -194,8 +194,7 @@ class HddmA(DriftDetector):
 
             drift_positions = np.flatnonzero(drift)
             if drift_positions.size == 0:
-                for rel in np.flatnonzero(warning):
-                    warning_indices.append(position + int(rel))
+                warning_indices.extend((np.flatnonzero(warning) + position).tolist())
                 self._total_count += count
                 self._total_sum = float(sums[-1])
                 final_change = int(change_index[-1])
@@ -204,18 +203,19 @@ class HddmA(DriftDetector):
                     self._best_sum = float(sums[final_change])
                     self._best_bound = float(bounds[final_change])
                 position += count
-                limit = min(limit * 4, self._BATCH_CHUNK)
+                limit = self._segment_limit(limit * 4)
                 continue
 
             drift_rel = int(drift_positions[0])
-            for rel in np.flatnonzero(warning[:drift_rel]):
-                warning_indices.append(position + int(rel))
+            warning_indices.extend(
+                (np.flatnonzero(warning[:drift_rel]) + position).tolist()
+            )
             drift_index = position + drift_rel
             drift_indices.append(drift_index)
             warning_indices.append(drift_index)
+            limit = self._segment_limit(self._total_count + drift_rel + 1)
             self._init_state()
             position = drift_index + 1
-            limit = self._BATCH_RESTART
 
         return self._finish_batch(
             n, drift_indices, warning_indices, DriftType.MEAN

@@ -160,12 +160,12 @@ class PageHinkley(DriftDetector):
                 self._cumulative = cumulative
                 self._minimum = minimum
                 position += count
-                limit = min(limit * 4, self._BATCH_CHUNK)
+                limit = self._segment_limit(limit * 4)
                 continue
             drift_indices.append(position + drift_rel)
+            limit = self._segment_limit(n_before + drift_rel + 1)
             self._init_state()
             position += drift_rel + 1
-            limit = self._BATCH_RESTART
 
         return self._finish_batch(
             n, drift_indices, list(drift_indices), DriftType.MEAN

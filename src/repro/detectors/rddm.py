@@ -225,7 +225,7 @@ class Rddm(DriftDetector):
                 self._error_rate = float(rates[-1])
                 self._recent.extend(segment.tolist())
                 position += count
-                limit = min(limit * 4, self._BATCH_CHUNK)
+                limit = self._segment_limit(limit * 4)
                 continue
 
             rates_v = rates[start_valid:]
@@ -257,10 +257,10 @@ class Rddm(DriftDetector):
             drift = natural | forced
             rebuild = (counts[start_valid:] >= self._max_concept_size) & ~drift
 
+            base = position + start_valid
             event_positions = np.flatnonzero(drift | rebuild)
             if event_positions.size == 0:
-                for rel in np.flatnonzero(warning):
-                    warning_indices.append(position + start_valid + int(rel))
+                warning_indices.extend((np.flatnonzero(warning) + base).tolist())
                 self._n += count
                 self._error_sum = float(sums[-1])
                 self._error_rate = float(rates[-1])
@@ -272,7 +272,7 @@ class Rddm(DriftDetector):
                 self._warning_count = int(runs[-1]) if warning[-1] else 0
                 self._recent.extend(segment.tolist())
                 position += count
-                limit = min(limit * 4, self._BATCH_CHUNK)
+                limit = self._segment_limit(limit * 4)
                 continue
 
             # Commit the closed-form state up to (excluding) the event element,
@@ -280,8 +280,9 @@ class Rddm(DriftDetector):
             # rebuild logic is executed verbatim.
             event_rel = int(event_positions[0])
             consumed = start_valid + event_rel
-            for rel in np.flatnonzero(warning[:event_rel]):
-                warning_indices.append(position + start_valid + int(rel))
+            warning_indices.extend(
+                (np.flatnonzero(warning[:event_rel]) + base).tolist()
+            )
             if consumed > 0:
                 self._n += consumed
                 self._error_sum = float(sums[consumed - 1])
@@ -297,19 +298,22 @@ class Rddm(DriftDetector):
                 )
             self._recent.extend(segment[:consumed].tolist())
             position += consumed
+            stretch = self._n + 1
             burst_remaining = 1
             while burst_remaining > 0 and position < n:
+                folded = self._n
                 outcome = self._update_one(float(arr[position]))
                 if outcome.drift_detected:
                     drift_indices.append(position)
                     warning_indices.append(position)
                     burst_remaining = self._SCALAR_BURST
+                    stretch = folded + 1
                 else:
                     if outcome.warning_detected:
                         warning_indices.append(position)
                     burst_remaining -= 1
                 position += 1
-            limit = self._BATCH_RESTART
+            limit = self._segment_limit(stretch)
 
         return self._finish_batch(
             n, drift_indices, warning_indices, DriftType.MEAN

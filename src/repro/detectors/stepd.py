@@ -222,15 +222,17 @@ class Stepd(DriftDetector):
                 self._older_count = int(older_count[-1])
                 self._older_correct = float(older_correct[-1])
                 position += count
-                limit = min(limit * 4, self._BATCH_CHUNK)
+                limit = self._segment_limit(limit * 4)
                 continue
 
             drift_index = position + drift_rel
             drift_indices.append(drift_index)
             warning_indices.append(drift_index)
+            limit = self._segment_limit(
+                self._older_count + retained + drift_rel + 1
+            )
             self._init_state()
             position = drift_index + 1
-            limit = self._BATCH_RESTART
 
         return self._finish_batch(
             n, drift_indices, warning_indices, DriftType.MEAN

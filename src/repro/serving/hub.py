@@ -605,7 +605,9 @@ class MonitorHub:
 
         The call is all-or-nothing up to the detectors: an unknown monitor
         or a payload that does not convert to float64 raises
-        :class:`ConfigurationError` before any monitor is fed.
+        :class:`ConfigurationError` before any monitor is fed.  A sampled
+        ``hub.ingest`` span ends on every path; a call that raises records
+        the exception's message as the span's ``error`` argument.
         """
         # Convert whole payloads (scalars or chunks) per monitor up front and
         # coalesce once at flush time — per-element Python conversion here
@@ -613,23 +615,29 @@ class MonitorHub:
         span = self._tracer.begin("hub.ingest", trace_ctx)
         started = time.perf_counter()
         buffers: Dict[_MonitorKey, List[Union[float, "np.ndarray"]]] = {}
-        for tenant, monitor_id, payload in events:
-            key = (str(tenant), str(monitor_id))
-            if key not in self._entries:
-                raise ConfigurationError(
-                    f"unknown monitor {key[0]}/{key[1]}; register it first"
-                )
-            buffers.setdefault(key, []).append(_checked_values(key, payload))
-        return self._flush(
-            span,
-            started,
-            (
-                (self._entries[key], _coalesce(buffers[key]))
-                for keys in self._groups.values()
-                for key in keys
-                if key in buffers
-            ),
-        )
+        try:
+            for tenant, monitor_id, payload in events:
+                key = (str(tenant), str(monitor_id))
+                if key not in self._entries:
+                    raise ConfigurationError(
+                        f"unknown monitor {key[0]}/{key[1]}; register it first"
+                    )
+                buffers.setdefault(key, []).append(_checked_values(key, payload))
+            return self._flush(
+                span,
+                started,
+                (
+                    (self._entries[key], _coalesce(buffers[key]))
+                    for keys in self._groups.values()
+                    for key in keys
+                    if key in buffers
+                ),
+            )
+        except Exception as exc:
+            if span is not None:
+                span.add(error=str(exc))
+                span.end()
+            raise
 
     def _flush(
         self,

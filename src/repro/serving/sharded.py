@@ -1180,8 +1180,14 @@ class ShardedHub:
         trace_ctx: Optional[TraceContext],
     ) -> Any:
         """Run the worker hub's ``op(tenant, monitor_id, values, ctx)`` on
-        the monitor's owning shard, under one ``hub.route`` span."""
+        the monitor's owning shard, under one ``hub.route`` span.
+
+        The payload is converted here, as :class:`MonitorHub` converts it:
+        an iterator then crosses the pipe as an array, and a payload that
+        does not convert raises before anything is sent.
+        """
         key, shard = self._shard_for(tenant, monitor_id)
+        values = checked_chunk(key, values)
         span = self._tracer.begin(
             "hub.route", trace_ctx, tenant=key[0], monitor=key[1], shard=shard
         )

@@ -2,9 +2,10 @@
 
 Every exported detector must report *exactly* the same drift and warning
 indices through ``update_batch`` as through the element-by-element ``update``
-loop — over binary, real-valued, and drift-dense streams, across multiple
-drifts/resets, for any chunking of the input, and leaving the detector in an
-indistinguishable internal state afterwards.  The detector line-up is checked
+loop — over binary, real-valued, drift-dense and serving-shaped streams,
+across multiple drifts/resets, for any chunking of the input (the serving
+chunk of 1,024 values and the fast paths' 8,192-value segment included), and
+leaving the detector in an indistinguishable internal state afterwards.  The detector line-up is checked
 against :func:`repro.detectors.exported_detector_classes`, so adding a
 detector without covering it here fails the registry test.
 """
@@ -55,8 +56,21 @@ def _drift_dense_binary(seed: int = 9) -> np.ndarray:
     return np.concatenate(parts)
 
 
+def _bulk_ingest_binary(seed: int = 13) -> np.ndarray:
+    """The serving benchmark's shape: 1,024-value segments alternating 10 %
+    and 55 % error.  Drifts land mid-chunk after long pre-reset stretches,
+    where the fast paths size their next segment from that stretch."""
+    rng = np.random.default_rng(seed)
+    parts = [
+        (rng.random(1_024) < p).astype(np.float64)
+        for p in (0.10, 0.55) * 8
+    ]
+    return np.concatenate(parts)
+
+
 STREAMS = {
     "binary_multi_drift": _multi_drift_binary(),
+    "bulk_ingest": _bulk_ingest_binary(),
     "gaussian_multi_drift": _multi_drift_gaussian(),
     "drift_dense": _drift_dense_binary(),
     "constant": np.full(500, 0.25),
@@ -147,7 +161,7 @@ def _batched(detector: DriftDetector, values: np.ndarray, chunk: int):
     return drifts, warnings
 
 
-@pytest.mark.parametrize("chunk", [1, 7, 64, 10**9])
+@pytest.mark.parametrize("chunk", [1, 7, 64, 1_024, 8_192, 10**9])
 @pytest.mark.parametrize("stream_name", sorted(STREAMS))
 @pytest.mark.parametrize("detector_name", sorted(DETECTORS))
 def test_batch_matches_scalar(detector_name, stream_name, chunk):

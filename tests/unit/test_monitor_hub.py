@@ -9,6 +9,7 @@ import pytest
 
 from repro.detectors import Ddm
 from repro.exceptions import ConfigurationError, SnapshotError
+from repro.obs.trace import Tracer
 from repro.serving import (
     CHECKPOINT_FILENAME,
     HUB_SCHEMA_VERSION,
@@ -123,6 +124,24 @@ def test_ingest_rejects_unregistered_monitor():
     hub = MonitorHub()
     with pytest.raises(ConfigurationError):
         hub.ingest([("t", "m", 1.0)])
+
+
+@pytest.mark.parametrize(
+    "events, error",
+    [
+        ([("t", "m", 1.0), ("t", "nope", 1.0)], "unknown monitor t/nope"),
+        ([("t", "m", 1.0), ("t", "m", ["x"])], "monitor t/m: values must be"),
+    ],
+)
+def test_refused_ingest_ends_its_span_with_the_error(events, error):
+    hub = MonitorHub(tracer=Tracer(sample_rate=1.0))
+    hub.register("t", "m", "DDM")
+    with pytest.raises(ConfigurationError):
+        hub.ingest(events)
+    [span] = hub.drain_trace()
+    assert span["name"] == "hub.ingest"
+    assert span["args"]["error"].startswith(error)
+    assert hub.stats("t", "m")["n_seen"] == 0
 
 
 # ------------------------------------------------------------------ alerts

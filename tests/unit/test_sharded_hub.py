@@ -492,6 +492,39 @@ def test_shm_transport_accepts_generator_payloads():
         assert hub.stats("t", "gen")["n_seen"] == 3
 
 
+@pytest.mark.parametrize("kind", ["single", "sharded"])
+def test_observe_converts_payloads_before_the_worker(kind, monkeypatch):
+    """Both hubs accept an iterator on ``observe``, and refuse a malformed
+    payload with the same message and nothing applied; the sharded hub
+    refuses it in the parent, before any request reaches the worker."""
+    hub = MonitorHub() if kind == "single" else ShardedHub(2)
+    try:
+        hub.register("t", "m", "DDM")
+        assert hub.observe("t", "m", (v for v in [1.0, 0.0])).n_processed == 2
+        _, stats = hub.observe_with_stats("t", "m", (v for v in [1.0]))
+        assert stats["n_seen"] == 3
+
+        sent = []
+        if kind == "sharded":
+            forward = hub._call
+            monkeypatch.setattr(
+                hub, "_call", lambda shard, op, *args: sent.append(op)
+                or forward(shard, op, *args)
+            )
+        message = (
+            "monitor t/m: values must be a number or a flat list of numbers, "
+            "got [1.0, 'x']"
+        )
+        for op in (hub.observe, hub.observe_with_stats):
+            with pytest.raises(ConfigurationError) as refused:
+                op("t", "m", [1.0, "x"])
+            assert str(refused.value) == message
+        assert sent == []
+        assert hub.stats("t", "m")["n_seen"] == 3
+    finally:
+        hub.close()
+
+
 def test_shm_block_grows_and_shrinks_with_batches():
     """A batch larger than the staging segment forces a bigger replacement
     segment; correctness is unaffected in either direction."""
