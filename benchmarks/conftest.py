@@ -61,12 +61,18 @@ def scale():
 
 @pytest.fixture(scope="session")
 def report():
-    """Print a result block and persist it under ``benchmarks/results/``."""
+    """Print a result block and persist it under ``benchmarks/results/``.
 
-    def _report(name: str, text: str) -> None:
+    With ``scratch=True`` the block goes to the gitignored
+    ``benchmarks/scratch/`` instead: for a run whose scale differs from the
+    one the committed table was measured at.
+    """
+
+    def _report(name: str, text: str, scratch: bool = False) -> None:
         print(f"\n{text}\n")
-        RESULTS_DIR.mkdir(exist_ok=True)
-        output_path = RESULTS_DIR / f"{name}.txt"
+        directory = RESULTS_DIR.parent / "scratch" if scratch else RESULTS_DIR
+        directory.mkdir(exist_ok=True)
+        output_path = directory / f"{name}.txt"
         output_path.write_text(text + "\n", encoding="utf-8")
 
     return _report

@@ -22,7 +22,7 @@ import abc
 import numbers
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Any, Dict, Iterable, List, Mapping, Optional, Tuple, Type
+from typing import Any, ClassVar, Dict, Iterable, List, Mapping, Optional, Tuple, Type
 
 import numpy as np
 
@@ -181,14 +181,16 @@ class DriftDetector(abc.ABC):
 
     Sub-classes implement :meth:`_update_one` and :meth:`reset`; the public
     :meth:`update` wraps :meth:`_update_one` with element counting and result
-    bookkeeping so every detector exposes identical statistics.
+    bookkeeping so every detector exposes identical statistics.  A detector
+    with a vectorised batch path also implements :meth:`_batch_kernel`, which
+    :meth:`update_batch` drives; without one, :meth:`update_batch` is the
+    scalar loop over :meth:`update`.
     """
 
     #: Maximum number of elements evaluated by one vectorised segment of a
-    #: batched fast path, and the first segment's length in every call.
-    #: Shared by every ``update_batch`` override through
-    #: :meth:`_segment_limit`, so the segmentation policy is tuned in one
-    #: place.
+    #: batch kernel, and the first segment's length in every call.  Shared
+    #: by every kernel through :meth:`_segment_limit`, so the segmentation
+    #: policy is tuned in one place.
     _BATCH_CHUNK = 8192
     #: Smallest segment after a drift/boundary event.  The segment after a
     #: drift is as long as the stretch the detector consumed since its
@@ -197,6 +199,20 @@ class DriftDetector(abc.ABC):
     #: streams (drifts under this many values apart) do not redo full-chunk
     #: vector work for every few consumed elements.
     _BATCH_RESTART = 256
+    #: Whether :meth:`update_batch` may run this class's :meth:`_batch_kernel`:
+    #: the class has one, and its ``_update_one`` is the one the kernel was
+    #: written for (a subclass that replaces ``_update_one`` gets the scalar
+    #: loop, so its customisation is honoured).  Set once per class.
+    _runs_kernel: ClassVar[bool] = False
+
+    def __init_subclass__(cls, **kwargs: Any) -> None:
+        super().__init_subclass__(**kwargs)
+        owner = next(
+            klass for klass in cls.__mro__ if "_batch_kernel" in vars(klass)
+        )
+        cls._runs_kernel = (
+            owner is not DriftDetector and cls._update_one is owner._update_one
+        )
 
     def __init__(self) -> None:
         self._n_seen = 0
@@ -231,11 +247,13 @@ class DriftDetector(abc.ABC):
     ) -> BatchResult:
         """Feed a chunk of values and return the aggregated outcome.
 
-        The base implementation is the plain scalar loop; detectors with a
-        closed-form batched path override this method.  Overrides must be
-        *observationally equivalent* to the scalar loop: identical drift and
-        warning indices, identical post-batch detector state, and identical
-        ``n_seen``/``n_drifts``/``n_warnings`` counters.
+        With a batch kernel (see :meth:`_batch_kernel`) the chunk is consumed
+        by repeated kernel calls, each starting where the previous one
+        stopped and bounded by the segment limit the previous one returned;
+        otherwise, and whenever ``collect_stats`` is set, it is the scalar
+        loop over :meth:`update`.  Both are *observationally equivalent*:
+        identical drift and warning indices, identical post-batch detector
+        state, and identical ``n_seen``/``n_drifts``/``n_warnings`` counters.
 
         Parameters
         ----------
@@ -244,23 +262,61 @@ class DriftDetector(abc.ABC):
         collect_stats:
             When ``True``, per-element :class:`DetectionResult` objects
             (including their diagnostic ``statistics`` dicts) are collected in
-            :attr:`BatchResult.results`.  Fast paths fall back to the scalar
-            loop in this mode — ask for statistics only when you need them.
+            :attr:`BatchResult.results`.  This mode always runs the scalar
+            loop — ask for statistics only when you need them.
         """
         drift_indices: List[int] = []
         warning_indices: List[int] = []
-        results: Optional[List[DetectionResult]] = [] if collect_stats else None
-        count = 0
-        for index, value in enumerate(values):
-            outcome = self.update(value)
-            count += 1
-            if outcome.drift_detected:
-                drift_indices.append(index)
-            if outcome.warning_detected:
-                warning_indices.append(index)
-            if results is not None:
-                results.append(outcome)
-        return BatchResult(count, drift_indices, warning_indices, results)
+        if collect_stats or not self._runs_kernel:
+            results: Optional[List[DetectionResult]] = [] if collect_stats else None
+            count = 0
+            for index, value in enumerate(values):
+                outcome = self.update(value)
+                count += 1
+                if outcome.drift_detected:
+                    drift_indices.append(index)
+                if outcome.warning_detected:
+                    warning_indices.append(index)
+                if results is not None:
+                    results.append(outcome)
+            return BatchResult(count, drift_indices, warning_indices, results)
+        array = as_value_array(values)
+        n = array.shape[0]
+        if n == 0:
+            return BatchResult(0)
+        drift_type: Optional[DriftType] = None
+        position = 0
+        limit = self._BATCH_CHUNK
+        while position < n:
+            consumed, limit, drift_type = self._batch_kernel(
+                array, position, limit, drift_indices, warning_indices
+            )
+            position += consumed
+        return self._finish_batch(n, drift_indices, warning_indices, drift_type)
+
+    def _batch_kernel(
+        self,
+        values: "np.ndarray",
+        position: int,
+        limit: int,
+        drifts: List[int],
+        warnings: List[int],
+    ) -> Tuple[int, int, Optional[DriftType]]:
+        """Vectorised batch path of a detector (the base class has none).
+
+        Consumes ``count >= 1`` values of ``values`` from ``position`` on
+        and updates the detector state exactly as :meth:`_update_one` would
+        have for each of them; a vectorised segment covers at most
+        ``limit`` values, and sequential kernels may take the rest of the
+        chunk in one call.  Appends the positions in ``values`` of the
+        drifts and warnings it flags to ``drifts`` and ``warnings`` (a
+        drift is also a warning), in ascending order, and returns
+        ``(count, next_limit, drift_type)``: ``next_limit`` from
+        :meth:`_segment_limit`, and ``drift_type`` the type of a drift at
+        the last consumed value.  The counters and ``last_result`` are left
+        to :meth:`update_batch`.
+        """
+        raise NotImplementedError
 
     @abc.abstractmethod
     def _update_one(self, value: float) -> DetectionResult:
@@ -448,27 +504,14 @@ class DriftDetector(abc.ABC):
         """
         return min(max(stretch, self._BATCH_RESTART), self._BATCH_CHUNK)
 
-    def _commit_batch(
-        self,
-        n_processed: int,
-        n_drifts: int,
-        n_warnings: int,
-        last_result: DetectionResult,
-    ) -> None:
-        """Fold a fast-path batch into the bookkeeping counters."""
-        self._n_seen += n_processed
-        self._n_drifts += n_drifts
-        self._n_warnings += n_warnings
-        self._last_result = last_result
-
     def _finish_batch(
         self,
         n_processed: int,
         drift_indices: List[int],
         warning_indices: List[int],
-        drift_type: Optional[DriftType] = None,
+        drift_type: Optional[DriftType],
     ) -> BatchResult:
-        """Build the :class:`BatchResult` of a fast path and commit counters.
+        """Commit a kernel-driven batch to the counters and build its result.
 
         Reconstructs the final element's drift/warning flags from the index
         lists (which are ascending by construction) and mirrors them into
@@ -476,17 +519,16 @@ class DriftDetector(abc.ABC):
         element was a drift.
         """
         last_drift = bool(drift_indices) and drift_indices[-1] == n_processed - 1
-        last_warning = (
-            bool(warning_indices) and warning_indices[-1] == n_processed - 1
-        )
-        last_result = DetectionResult(
+        self._last_result = DetectionResult(
             drift_detected=last_drift,
-            warning_detected=last_warning,
+            warning_detected=(
+                bool(warning_indices) and warning_indices[-1] == n_processed - 1
+            ),
             drift_type=drift_type if last_drift else None,
         )
-        self._commit_batch(
-            n_processed, len(drift_indices), len(warning_indices), last_result
-        )
+        self._n_seen += n_processed
+        self._n_drifts += len(drift_indices)
+        self._n_warnings += len(warning_indices)
         return BatchResult(n_processed, drift_indices, warning_indices)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

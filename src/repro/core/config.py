@@ -1,15 +1,22 @@
-"""Configuration object for the OPTWIN detector.
+"""Configuration object for the OPTWIN detector, and the stable config hash.
 
 Keeping the parameters in a frozen dataclass gives a single place for
 validation, sensible defaults matching the paper's experimental setup
 (``delta = 0.99``, ``w_max = 25000``, ``rho = 0.5``), and hashability so that
 pre-computed cut tables can be cached per configuration.
+
+:func:`grid_config_hash` (exported by :mod:`repro.experiments.orchestrator`)
+keys the orchestrator's persisted records and the serving layer's
+checkpoint manifests; it lives here, below both, so that a hub computing
+one does not import :mod:`repro.experiments`.
 """
 
 from __future__ import annotations
 
+import hashlib
+import json
 from dataclasses import dataclass
-from typing import Optional
+from typing import Mapping, Optional
 
 from repro.exceptions import ConfigurationError
 
@@ -120,3 +127,9 @@ class OptwinConfig:
     def warning_enabled(self) -> bool:
         """Whether warning detection is active."""
         return self.warning_delta > 0.0
+
+
+def grid_config_hash(payload: Mapping[str, object]) -> str:
+    """Stable hash of a configuration payload (its canonical JSON, SHA-256)."""
+    canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:16]

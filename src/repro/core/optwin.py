@@ -34,17 +34,11 @@ True
 from __future__ import annotations
 
 import math
-from typing import Any, Iterable, List, Mapping, Optional, Tuple
+from typing import Any, List, Mapping, Optional, Tuple
 
 import numpy as np
 
-from repro.core.base import (
-    BatchResult,
-    DetectionResult,
-    DriftDetector,
-    DriftType,
-    as_value_array,
-)
+from repro.core.base import DetectionResult, DriftDetector, DriftType
 from repro.core.config import OptwinConfig
 from repro.core.optimal_cut import SplitSpec
 from repro.core.ppf_tables import CutTable, get_cut_table
@@ -281,91 +275,47 @@ class Optwin(DriftDetector):
         config = self._config
         return config.warning_delta_prime if config.warning_enabled else None
 
-    def update_batch(
-        self, values: Iterable[float], collect_stats: bool = False
-    ) -> BatchResult:
-        """Feed a chunk of values through the vectorised fast path.
-
-        Between drift resets the F/t statistics of every element in a segment
-        are computed at once from the window's cumulative sums, with the split
-        specs gathered from the dense pre-computed cut arrays; the scalar code
-        path is only re-entered at drift boundaries (where the window is reset)
-        and when ``collect_stats`` asks for per-element diagnostics.  Drift and
-        warning indices are bit-identical to element-by-element :meth:`update`.
-        """
-        if collect_stats or type(self)._update_one is not Optwin._update_one:
-            # Per-element statistics were requested, or a subclass customised
-            # the scalar update — both need the faithful scalar loop.
-            return super().update_batch(values, collect_stats=collect_stats)
-        arr = as_value_array(values)
-        n = arr.shape[0]
-        if n == 0:
-            return BatchResult(0)
-        drift_indices: List[int] = []
-        warning_indices: List[int] = []
-        drift_type: Optional[DriftType] = None
-        config = self._config
-        window = self._window
-        threshold = PrefixStats._COMPACT_THRESHOLD
-        position = 0
-        limit = self._BATCH_CHUNK
-        while position < n:
-            if (
-                len(window) >= config.w_max
-                and window.dead_prefix == threshold - 1
-            ):
-                # This element's eviction triggers the storage compaction
-                # (slice-and-rebase) *before* its statistics are computed.
-                # Run it through the scalar path so the rebase happens at
-                # exactly the same point as in scalar mode — one scalar
-                # element per compaction period keeps the two modes
-                # bit-identical even when rebasing perturbs prefix ulps.
-                outcome = self._update_one(float(arr[position]))
-                if outcome.drift_detected:
-                    drift_indices.append(position)
-                    drift_type = outcome.drift_type
-                if outcome.warning_detected:
-                    warning_indices.append(position)
-                position += 1
-                continue
-            held = len(window)
-            consumed, drift_rel, segment_type = self._batch_segment(
-                arr, position, limit, warning_indices
-            )
-            if drift_rel is not None:
-                drift_index = position + drift_rel
-                drift_indices.append(drift_index)
-                warning_indices.append(drift_index)
-                drift_type = segment_type
-                limit = self._segment_limit(held + consumed)
-            else:
-                limit = self._segment_limit(limit * 4)
-            position += consumed
-        return self._finish_batch(n, drift_indices, warning_indices, drift_type)
-
-    def _batch_segment(
+    def _batch_kernel(
         self,
-        arr: "np.ndarray",
+        values: "np.ndarray",
         position: int,
         limit: int,
-        warning_indices: List[int],
-    ) -> Tuple[int, Optional[int], Optional[DriftType]]:
-        """Vectorise one segment starting at ``arr[position]``.
+        drifts: List[int],
+        warnings: List[int],
+    ) -> Tuple[int, int, Optional[DriftType]]:
+        """Vectorise one between-reset segment starting at ``values[position]``.
 
-        Returns ``(consumed, drift_rel, drift_type)`` where ``drift_rel`` is
-        relative to ``position``, and appends the positions of the warnings
-        before the segment's drift (if any) to ``warning_indices``, as
-        positions in ``arr``.  The segment is capped so
-        that the storage compaction point can never fall inside it (the caller
-        runs the compaction-triggering element itself through the scalar
-        path) — scalar and batched execution then drive :class:`PrefixStats`
-        through exactly the same sequence of states, which is what makes the
-        reported indices (and all downstream statistics) bit-identical.
+        The F/t statistics of every element in the segment are computed at
+        once from the window's cumulative sums, with the split specs gathered
+        from the dense pre-computed cut arrays; a drift ends the segment and
+        resets the window exactly like :meth:`_update_one`.  The segment is
+        capped so that the storage compaction point can never fall inside it:
+        the element whose eviction triggers the compaction runs through
+        :meth:`_update_one` by itself.  Scalar and batched execution then
+        drive :class:`PrefixStats` through exactly the same sequence of
+        states, which is what makes the reported indices (and all downstream
+        statistics) bit-identical.
         """
         config = self._config
         window = self._window
+        if (
+            len(window) >= config.w_max
+            and window.dead_prefix == PrefixStats._COMPACT_THRESHOLD - 1
+        ):
+            # This element's eviction triggers the storage compaction
+            # (slice-and-rebase) *before* its statistics are computed.  Run
+            # it through the scalar path so the rebase happens at exactly
+            # the same point as in scalar mode — one scalar element per
+            # compaction period keeps the two modes bit-identical even when
+            # rebasing perturbs prefix ulps.
+            outcome = self._update_one(float(values[position]))
+            if outcome.drift_detected:
+                drifts.append(position)
+            if outcome.warning_detected:
+                warnings.append(position)
+            return 1, limit, outcome.drift_type
         w0 = len(window)
-        remaining = arr.shape[0] - position
+        remaining = values.shape[0] - position
         # Strictly below the compaction threshold: after this segment's
         # evictions the dead prefix is at most COMPACT_THRESHOLD - 1, so no
         # rebase happens while the segment's statistics are outstanding.
@@ -375,7 +325,7 @@ class Optwin(DriftDetector):
             (config.w_max - w0)
             + (PrefixStats._COMPACT_THRESHOLD - 1 - window.dead_prefix),
         )
-        chunk = arr[position : position + seg]
+        chunk = values[position : position + seg]
 
         # Track the "every value so far is 0/1" flag exactly like the scalar
         # path: the flag for element j includes element j itself.
@@ -391,7 +341,7 @@ class Optwin(DriftDetector):
         if start_valid >= seg:
             # The whole segment is below w_min: no tests, no evictions.
             self._all_values_binary = bool(all_binary[-1])
-            return seg, None, None
+            return seg, self._segment_limit(limit * 4), None
 
         dense = self._cut_table.dense(max_len, self._warning_confidence())
         prefix, prefix_sq, _, end = window.raw_arrays()
@@ -484,19 +434,21 @@ class Optwin(DriftDetector):
         base = position + start_valid
         drift_positions = np.flatnonzero(drift)
         if drift_positions.size == 0:
-            warning_indices.extend((np.flatnonzero(warning) + base).tolist())
+            warnings.extend((np.flatnonzero(warning) + base).tolist())
             evicted = w0 + seg - config.w_max
             if evicted > 0:
                 window.popleft_many(evicted)
             self._all_values_binary = bool(all_binary[-1])
-            return seg, None, None
+            return seg, self._segment_limit(limit * 4), None
 
         drift_rel_valid = int(drift_positions[0])
         drift_rel = start_valid + drift_rel_valid
         consumed = drift_rel + 1
-        warning_indices.extend(
+        warnings.extend(
             (np.flatnonzero(warning[:drift_rel_valid]) + base).tolist()
         )
+        drifts.append(position + drift_rel)
+        warnings.append(position + drift_rel)
         drift_type = (
             DriftType.VARIANCE if variance_drift[drift_rel_valid] else DriftType.MEAN
         )
@@ -511,7 +463,7 @@ class Optwin(DriftDetector):
             window.popleft_many(evicted)
         self._apply_reset(n_hist_at_drift, length_at_drift)
         self._all_values_binary = bool(all_binary[drift_rel])
-        return consumed, drift_rel, drift_type
+        return consumed, self._segment_limit(w0 + consumed), drift_type
 
     def reset(self) -> None:
         """Clear the sliding window and the bookkeeping counters."""

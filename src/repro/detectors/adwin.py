@@ -17,15 +17,11 @@ main baseline.
 from __future__ import annotations
 
 import math
-from typing import Iterable, List
+from typing import List, Tuple
 
-from repro.core.base import (
-    BatchResult,
-    DetectionResult,
-    DriftDetector,
-    DriftType,
-    as_value_array,
-)
+import numpy as np
+
+from repro.core.base import DetectionResult, DriftDetector, DriftType
 from repro.exceptions import ConfigurationError
 
 __all__ = ["Adwin"]
@@ -147,10 +143,15 @@ class Adwin(DriftDetector):
 
     # ------------------------------------------------------- batched updates
 
-    def update_batch(
-        self, values: Iterable[float], collect_stats: bool = False
-    ) -> BatchResult:
-        """Chunked update, bit-identical to the scalar loop.
+    def _batch_kernel(
+        self,
+        values: np.ndarray,
+        position: int,
+        limit: int,
+        drifts: List[int],
+        warnings: List[int],
+    ) -> Tuple[int, int, DriftType]:
+        """Update with the rest of the chunk, bit-identical to the scalar loop.
 
         ADWIN's exponential histogram is inherently sequential (every insert
         can cascade compressions and every cut shrinks the window), so the
@@ -163,14 +164,7 @@ class Adwin(DriftDetector):
         allocations and attribute traffic of the scalar path while driving
         the bucket structure through exactly the same sequence of states.
         """
-        if collect_stats or type(self)._update_one is not Adwin._update_one:
-            return super().update_batch(values, collect_stats=collect_stats)
-        arr = as_value_array(values)
-        n = arr.shape[0]
-        if n == 0:
-            return BatchResult(0)
-        drift_indices: List[int] = []
-
+        chunk = values[position:].tolist()
         rows = self._rows
         row0_buckets = rows[0].buckets
         compress_trigger = self._max_buckets + 1
@@ -181,7 +175,7 @@ class Adwin(DriftDetector):
         total = self._total
         variance = self._variance
 
-        for index, value in enumerate(arr.tolist()):
+        for index, value in enumerate(chunk, position):
             # Inline _insert_element on the local running aggregates.
             row0_buckets.insert(0, _Bucket(total=value, variance=0.0))
             if width > 0:
@@ -219,7 +213,8 @@ class Adwin(DriftDetector):
                 self._total = total
                 self._variance = variance
                 if self._detect_and_shrink():
-                    drift_indices.append(index)
+                    drifts.append(index)
+                    warnings.append(index)
                 width = self._width
                 total = self._total
                 variance = self._variance
@@ -228,9 +223,7 @@ class Adwin(DriftDetector):
         self._total = total
         self._variance = variance
         self._ticks = ticks
-        return self._finish_batch(
-            n, drift_indices, list(drift_indices), DriftType.MEAN
-        )
+        return len(chunk), limit, DriftType.MEAN
 
     def reset(self) -> None:
         """Drop the whole window and restart."""

@@ -16,16 +16,14 @@ the OPTWIN evaluation.
 from __future__ import annotations
 
 import math
-from typing import Iterable, List
+from typing import List, Tuple
 
 import numpy as np
 
 from repro.core.base import (
-    BatchResult,
     DetectionResult,
     DriftDetector,
     DriftType,
-    as_value_array,
     seeded_running_argmin,
 )
 from repro.exceptions import ConfigurationError
@@ -141,95 +139,77 @@ class Ddm(DriftDetector):
 
     # ------------------------------------------------------- batched updates
 
-    def update_batch(
-        self, values: Iterable[float], collect_stats: bool = False
-    ) -> BatchResult:
-        """Closed-form batched update (bit-identical to the scalar loop).
+    def _batch_kernel(
+        self,
+        values: np.ndarray,
+        position: int,
+        limit: int,
+        drifts: List[int],
+        warnings: List[int],
+    ) -> Tuple[int, int, DriftType]:
+        """Closed-form segment update (bit-identical to the scalar loop).
 
         Between resets every DDM quantity has a closed form in the cumulative
         error count: the error rate is an exact integer sum divided by ``n``,
         the ``p_min``/``s_min`` pair is a running minimum served by
         ``np.minimum.accumulate``, and the drift/warning comparisons are plain
         vector comparisons.  Only a drift (which resets the statistics) ends a
-        vectorised segment.
+        segment early.
         """
-        if collect_stats or type(self)._update_one is not Ddm._update_one:
-            return super().update_batch(values, collect_stats=collect_stats)
-        arr = as_value_array(values)
-        n = arr.shape[0]
-        if n == 0:
-            return BatchResult(0)
-        errors = (arr > 0.5).astype(np.float64)
-        drift_indices: List[int] = []
-        warning_indices: List[int] = []
-        position = 0
-        limit = self._BATCH_CHUNK
-        while position < n:
-            # Bounded segments keep the whole call O(n) even on streams where
-            # drifts (which restart the closed form) are frequent.
-            segment = errors[position : position + limit]
-            count = segment.shape[0]
-            sums, counts, rates = seeded_segment_means(
-                self._error_sum, self._n, segment
-            )
-            stds = np.sqrt(np.maximum(rates * (1.0 - rates), 0.0) / counts)
-            levels = rates + stds
-
-            start_valid = max(0, self._min_num_instances - self._n - 1)
-            if start_valid >= count:
-                self._n += count
-                self._error_sum = float(sums[-1])
-                self._error_rate = float(rates[-1])
-                position += count
-                limit = self._segment_limit(limit * 4)
-                continue
-
-            rates_v = rates[start_valid:]
-            stds_v = stds[start_valid:]
-            levels_v = levels[start_valid:]
-
-            # The min update uses <= so ties move the (p_min, s_min) pair
-            # forward, exactly like the scalar code.
-            change_index = seeded_running_argmin(levels_v, self._ps_min)
-            gather = np.maximum(change_index, 0)
-            p_min = np.where(change_index >= 0, rates_v[gather], self._p_min)
-            s_min = np.where(change_index >= 0, stds_v[gather], self._s_min)
-
-            drift = levels_v >= p_min + self._drift_level * s_min
-            warning = (~drift) & (
-                levels_v >= p_min + self._warning_level * s_min
-            )
-
-            base = position + start_valid
-            drift_positions = np.flatnonzero(drift)
-            if drift_positions.size == 0:
-                warning_indices.extend((np.flatnonzero(warning) + base).tolist())
-                self._n += count
-                self._error_sum = float(sums[-1])
-                self._error_rate = float(rates[-1])
-                final_change = int(change_index[-1])
-                if final_change >= 0:
-                    self._p_min = float(rates_v[final_change])
-                    self._s_min = float(stds_v[final_change])
-                    self._ps_min = float(levels_v[final_change])
-                position += count
-                limit = self._segment_limit(limit * 4)
-                continue
-
-            drift_rel = int(drift_positions[0])
-            warning_indices.extend(
-                (np.flatnonzero(warning[:drift_rel]) + base).tolist()
-            )
-            drift_index = base + drift_rel
-            drift_indices.append(drift_index)
-            warning_indices.append(drift_index)
-            limit = self._segment_limit(self._n + start_valid + drift_rel + 1)
-            self._init_state()
-            position = drift_index + 1
-
-        return self._finish_batch(
-            n, drift_indices, warning_indices, DriftType.MEAN
+        segment = (values[position : position + limit] > 0.5).astype(np.float64)
+        count = segment.shape[0]
+        sums, counts, rates = seeded_segment_means(
+            self._error_sum, self._n, segment
         )
+        stds = np.sqrt(np.maximum(rates * (1.0 - rates), 0.0) / counts)
+        levels = rates + stds
+
+        start_valid = max(0, self._min_num_instances - self._n - 1)
+        if start_valid >= count:
+            self._n += count
+            self._error_sum = float(sums[-1])
+            self._error_rate = float(rates[-1])
+            return count, self._segment_limit(limit * 4), DriftType.MEAN
+
+        rates_v = rates[start_valid:]
+        stds_v = stds[start_valid:]
+        levels_v = levels[start_valid:]
+
+        # The min update uses <= so ties move the (p_min, s_min) pair
+        # forward, exactly like the scalar code.
+        change_index = seeded_running_argmin(levels_v, self._ps_min)
+        gather = np.maximum(change_index, 0)
+        p_min = np.where(change_index >= 0, rates_v[gather], self._p_min)
+        s_min = np.where(change_index >= 0, stds_v[gather], self._s_min)
+
+        drift = levels_v >= p_min + self._drift_level * s_min
+        warning = (~drift) & (
+            levels_v >= p_min + self._warning_level * s_min
+        )
+
+        base = position + start_valid
+        drift_positions = np.flatnonzero(drift)
+        if drift_positions.size == 0:
+            warnings.extend((np.flatnonzero(warning) + base).tolist())
+            self._n += count
+            self._error_sum = float(sums[-1])
+            self._error_rate = float(rates[-1])
+            final_change = int(change_index[-1])
+            if final_change >= 0:
+                self._p_min = float(rates_v[final_change])
+                self._s_min = float(stds_v[final_change])
+                self._ps_min = float(levels_v[final_change])
+            return count, self._segment_limit(limit * 4), DriftType.MEAN
+
+        drift_rel = int(drift_positions[0])
+        warnings.extend(
+            (np.flatnonzero(warning[:drift_rel]) + base).tolist()
+        )
+        drifts.append(base + drift_rel)
+        warnings.append(base + drift_rel)
+        next_limit = self._segment_limit(self._n + start_valid + drift_rel + 1)
+        self._init_state()
+        return start_valid + drift_rel + 1, next_limit, DriftType.MEAN
 
     def reset(self) -> None:
         """Forget all statistics."""

@@ -12,17 +12,11 @@ baseline configuration of the OPTWIN paper.
 from __future__ import annotations
 
 import math
-from typing import Iterable, List
+from typing import List, Tuple
 
 import numpy as np
 
-from repro.core.base import (
-    BatchResult,
-    DetectionResult,
-    DriftDetector,
-    DriftType,
-    as_value_array,
-)
+from repro.core.base import DetectionResult, DriftDetector, DriftType
 from repro.exceptions import ConfigurationError
 from repro.stats.ewma import EwmaEstimator, ecdd_base_limit, ecdd_control_limit
 
@@ -123,10 +117,15 @@ class Ecdd(DriftDetector):
 
     # ------------------------------------------------------- batched updates
 
-    def update_batch(
-        self, values: Iterable[float], collect_stats: bool = False
-    ) -> BatchResult:
-        """Batched update, bit-identical to the scalar loop.
+    def _batch_kernel(
+        self,
+        values: np.ndarray,
+        position: int,
+        limit: int,
+        drifts: List[int],
+        warnings: List[int],
+    ) -> Tuple[int, int, DriftType]:
+        """Update with the rest of the chunk, bit-identical to the scalar loop.
 
         The EWMA recurrence is inherently sequential, so it runs in a tight
         local-variable loop that performs exactly the scalar arithmetic — but
@@ -134,15 +133,7 @@ class Ecdd(DriftDetector):
         control limit hoisted out, and none of the per-element
         ``DetectionResult``/statistics-dict allocations of the scalar path.
         """
-        if collect_stats or type(self)._update_one is not Ecdd._update_one:
-            return super().update_batch(values, collect_stats=collect_stats)
-        arr = as_value_array(values)
-        n = arr.shape[0]
-        if n == 0:
-            return BatchResult(0)
-        errors = np.where(arr > 0.5, 1.0, 0.0).tolist()
-        drift_indices: List[int] = []
-        warning_indices: List[int] = []
+        errors = np.where(values[position:] > 0.5, 1.0, 0.0).tolist()
 
         lambda_ = self._lambda
         one_minus = 1.0 - lambda_
@@ -155,7 +146,7 @@ class Ecdd(DriftDetector):
 
         count, p_estimate, z, variance_factor = self._estimator.state()
         sqrt = math.sqrt
-        for index, error in enumerate(errors):
+        for index, error in enumerate(errors, position):
             count += 1
             p_estimate += (error - p_estimate) / count
             if count == 1:
@@ -171,18 +162,16 @@ class Ecdd(DriftDetector):
             p_clamped = min(max(p_estimate, 0.0), 0.5)
             limit_factor = base_limit * (0.7 + 0.6 * min(p_clamped, 0.5))
             if z > p_estimate + limit_factor * sigma_z:
-                drift_indices.append(index)
-                warning_indices.append(index)
+                drifts.append(index)
+                warnings.append(index)
                 count = 0
                 p_estimate = 0.0
                 z = 0.0
                 variance_factor = 0.0
             elif z > p_estimate + warning_fraction * limit_factor * sigma_z:
-                warning_indices.append(index)
+                warnings.append(index)
         self._estimator.set_state(count, p_estimate, z, variance_factor)
-        return self._finish_batch(
-            n, drift_indices, warning_indices, DriftType.MEAN
-        )
+        return len(errors), limit, DriftType.MEAN
 
     def reset(self) -> None:
         """Forget all statistics."""

@@ -17,17 +17,11 @@ the MOA implementation.
 from __future__ import annotations
 
 import math
-from typing import Iterable, List
+from typing import List, Tuple
 
 import numpy as np
 
-from repro.core.base import (
-    BatchResult,
-    DetectionResult,
-    DriftDetector,
-    DriftType,
-    as_value_array,
-)
+from repro.core.base import DetectionResult, DriftDetector, DriftType
 from repro.exceptions import ConfigurationError
 
 __all__ = ["Eddm"]
@@ -148,10 +142,15 @@ class Eddm(DriftDetector):
 
     # ------------------------------------------------------- batched updates
 
-    def update_batch(
-        self, values: Iterable[float], collect_stats: bool = False
-    ) -> BatchResult:
-        """Batched update, bit-identical to the scalar loop.
+    def _batch_kernel(
+        self,
+        values: np.ndarray,
+        position: int,
+        limit: int,
+        drifts: List[int],
+        warnings: List[int],
+    ) -> Tuple[int, int, DriftType]:
+        """Update with the rest of the chunk, bit-identical to the scalar loop.
 
         EDDM's state only changes at *error* elements, so the batch extracts
         the error positions with one vectorised comparison (the cumulative
@@ -161,15 +160,8 @@ class Eddm(DriftDetector):
         typically the large majority of a stream, cost one vectorised
         comparison instead of a ``DetectionResult`` allocation each.
         """
-        if collect_stats or type(self)._update_one is not Eddm._update_one:
-            return super().update_batch(values, collect_stats=collect_stats)
-        arr = as_value_array(values)
-        n = arr.shape[0]
-        if n == 0:
-            return BatchResult(0)
-        error_positions = np.flatnonzero(arr > 0.5).tolist()
-        drift_indices: List[int] = []
-        warning_indices: List[int] = []
+        chunk = values[position:]
+        error_positions = np.flatnonzero(chunk > 0.5).tolist()
 
         alpha = self._alpha
         beta = self._beta
@@ -211,8 +203,8 @@ class Eddm(DriftDetector):
                 continue
             ratio = level / max_level if max_level > 0 else 1.0
             if ratio < beta:
-                drift_indices.append(pos)
-                warning_indices.append(pos)
+                drifts.append(position + pos)
+                warnings.append(position + pos)
                 n_offset = -pos
                 n_errors = 0
                 last_error = 0
@@ -220,17 +212,15 @@ class Eddm(DriftDetector):
                 m2 = 0.0
                 max_level = 0.0
             elif ratio < alpha:
-                warning_indices.append(pos)
+                warnings.append(position + pos)
 
-        self._n = n_offset + n - 1
+        self._n = n_offset + chunk.shape[0] - 1
         self._n_errors = n_errors
         self._last_error_index = last_error
         self._distance_mean = mean
         self._distance_m2 = m2
         self._max_level = max_level
-        return self._finish_batch(
-            n, drift_indices, warning_indices, DriftType.MEAN
-        )
+        return chunk.shape[0], limit, DriftType.MEAN
 
     def reset(self) -> None:
         """Forget all statistics."""

@@ -12,16 +12,14 @@ the paper's line-up) that, like OPTWIN, works for arbitrary bounded inputs.
 from __future__ import annotations
 
 import math
-from typing import Iterable, List
+from typing import List, Tuple
 
 import numpy as np
 
 from repro.core.base import (
-    BatchResult,
     DetectionResult,
     DriftDetector,
     DriftType,
-    as_value_array,
     seeded_running_argmin,
 )
 from repro.exceptions import ConfigurationError
@@ -125,9 +123,14 @@ class HddmA(DriftDetector):
 
     # ------------------------------------------------------- batched updates
 
-    def update_batch(
-        self, values: Iterable[float], collect_stats: bool = False
-    ) -> BatchResult:
+    def _batch_kernel(
+        self,
+        values: np.ndarray,
+        position: int,
+        limit: int,
+        drifts: List[int],
+        warnings: List[int],
+    ) -> Tuple[int, int, DriftType]:
         """Vectorised prefix-bound evaluation (bit-identical to the scalar loop).
 
         Between resets every HDDM_A quantity has a closed form in the
@@ -135,91 +138,71 @@ class HddmA(DriftDetector):
         the best-prefix tracking is a running strict minimum of the Hoeffding
         upper bounds served by ``np.minimum.accumulate`` plus an index gather,
         and both ``_exceeds`` tests are plain vector comparisons.  Only a
-        drift (which resets the statistics) ends a vectorised segment.
+        drift (which resets the statistics) ends a segment early.
         """
-        if collect_stats or type(self)._update_one is not HddmA._update_one:
-            return super().update_batch(values, collect_stats=collect_stats)
-        arr = as_value_array(values)
-        n = arr.shape[0]
-        if n == 0:
-            return BatchResult(0)
-        drift_indices: List[int] = []
-        warning_indices: List[int] = []
         value_range = self._value_range
         drift_log = math.log(1.0 / self._drift_confidence)
         warning_log = math.log(1.0 / self._warning_confidence)
-        position = 0
-        limit = self._BATCH_CHUNK
-        while position < n:
-            # Bounded segments keep the whole call O(n) even on streams where
-            # drifts (which restart the closed form) are frequent.
-            segment = arr[position : position + limit]
-            count = segment.shape[0]
-            sums, counts, means = seeded_segment_means(
-                self._total_sum, self._total_count, segment
-            )
-            bounds = means + value_range * np.sqrt(drift_log / (2.0 * counts))
-
-            # The best-prefix update uses strict <, so ties keep the earlier
-            # prefix, exactly like the scalar code.
-            change_index = seeded_running_argmin(
-                bounds, self._best_bound, strict=True
-            )
-            gather = np.maximum(change_index, 0)
-            best_count = np.where(
-                change_index >= 0, counts[gather], float(self._best_count)
-            )
-            best_sum = np.where(change_index >= 0, sums[gather], self._best_sum)
-
-            recent_count = counts - best_count
-            valid = (recent_count >= 1.0) & (best_count >= 1.0)
-            safe_recent = np.where(valid, recent_count, 1.0)
-            safe_best = np.where(valid, best_count, 1.0)
-            recent_mean = (sums - best_sum) / safe_recent
-            best_mean = best_sum / safe_best
-            harmonic = 1.0 / (1.0 / safe_recent + 1.0 / safe_best)
-            difference = recent_mean - best_mean
-            drift = valid & (
-                difference
-                > value_range * np.sqrt(drift_log / (2.0 * harmonic))
-            )
-            warning = (
-                valid
-                & ~drift
-                & (
-                    difference
-                    > value_range * np.sqrt(warning_log / (2.0 * harmonic))
-                )
-            )
-
-            drift_positions = np.flatnonzero(drift)
-            if drift_positions.size == 0:
-                warning_indices.extend((np.flatnonzero(warning) + position).tolist())
-                self._total_count += count
-                self._total_sum = float(sums[-1])
-                final_change = int(change_index[-1])
-                if final_change >= 0:
-                    self._best_count = int(counts[final_change])
-                    self._best_sum = float(sums[final_change])
-                    self._best_bound = float(bounds[final_change])
-                position += count
-                limit = self._segment_limit(limit * 4)
-                continue
-
-            drift_rel = int(drift_positions[0])
-            warning_indices.extend(
-                (np.flatnonzero(warning[:drift_rel]) + position).tolist()
-            )
-            drift_index = position + drift_rel
-            drift_indices.append(drift_index)
-            warning_indices.append(drift_index)
-            limit = self._segment_limit(self._total_count + drift_rel + 1)
-            self._init_state()
-            position = drift_index + 1
-
-        return self._finish_batch(
-            n, drift_indices, warning_indices, DriftType.MEAN
+        segment = values[position : position + limit]
+        count = segment.shape[0]
+        sums, counts, means = seeded_segment_means(
+            self._total_sum, self._total_count, segment
         )
+        bounds = means + value_range * np.sqrt(drift_log / (2.0 * counts))
+
+        # The best-prefix update uses strict <, so ties keep the earlier
+        # prefix, exactly like the scalar code.
+        change_index = seeded_running_argmin(
+            bounds, self._best_bound, strict=True
+        )
+        gather = np.maximum(change_index, 0)
+        best_count = np.where(
+            change_index >= 0, counts[gather], float(self._best_count)
+        )
+        best_sum = np.where(change_index >= 0, sums[gather], self._best_sum)
+
+        recent_count = counts - best_count
+        valid = (recent_count >= 1.0) & (best_count >= 1.0)
+        safe_recent = np.where(valid, recent_count, 1.0)
+        safe_best = np.where(valid, best_count, 1.0)
+        recent_mean = (sums - best_sum) / safe_recent
+        best_mean = best_sum / safe_best
+        harmonic = 1.0 / (1.0 / safe_recent + 1.0 / safe_best)
+        difference = recent_mean - best_mean
+        drift = valid & (
+            difference
+            > value_range * np.sqrt(drift_log / (2.0 * harmonic))
+        )
+        warning = (
+            valid
+            & ~drift
+            & (
+                difference
+                > value_range * np.sqrt(warning_log / (2.0 * harmonic))
+            )
+        )
+
+        drift_positions = np.flatnonzero(drift)
+        if drift_positions.size == 0:
+            warnings.extend((np.flatnonzero(warning) + position).tolist())
+            self._total_count += count
+            self._total_sum = float(sums[-1])
+            final_change = int(change_index[-1])
+            if final_change >= 0:
+                self._best_count = int(counts[final_change])
+                self._best_sum = float(sums[final_change])
+                self._best_bound = float(bounds[final_change])
+            return count, self._segment_limit(limit * 4), DriftType.MEAN
+
+        drift_rel = int(drift_positions[0])
+        warnings.extend(
+            (np.flatnonzero(warning[:drift_rel]) + position).tolist()
+        )
+        drifts.append(position + drift_rel)
+        warnings.append(position + drift_rel)
+        next_limit = self._segment_limit(self._total_count + drift_rel + 1)
+        self._init_state()
+        return drift_rel + 1, next_limit, DriftType.MEAN
 
     def reset(self) -> None:
         """Forget all statistics."""

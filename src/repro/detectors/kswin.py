@@ -13,17 +13,11 @@ from __future__ import annotations
 import math
 import random
 from collections import deque
-from typing import Deque, Iterable, List, Sequence
+from typing import Deque, List, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.base import (
-    BatchResult,
-    DetectionResult,
-    DriftDetector,
-    DriftType,
-    as_value_array,
-)
+from repro.core.base import DetectionResult, DriftDetector, DriftType
 from repro.exceptions import ConfigurationError
 
 __all__ = ["Kswin"]
@@ -137,10 +131,15 @@ class Kswin(DriftDetector):
 
     # ------------------------------------------------------- batched updates
 
-    def update_batch(
-        self, values: Iterable[float], collect_stats: bool = False
-    ) -> BatchResult:
-        """Batched update, bit-identical to the scalar loop.
+    def _batch_kernel(
+        self,
+        values: np.ndarray,
+        position: int,
+        limit: int,
+        drifts: List[int],
+        warnings: List[int],
+    ) -> Tuple[int, int, DriftType]:
+        """Update with the rest of the chunk, bit-identical to the scalar loop.
 
         The sliding window is maintained as a plain list for the duration of
         the batch (no per-element ``list(deque)`` copy), partially filled
@@ -151,21 +150,15 @@ class Kswin(DriftDetector):
         drawn per tested element exactly as in scalar mode, so the random
         state (and therefore every subsequent detection) stays identical.
         """
-        if collect_stats or type(self)._update_one is not Kswin._update_one:
-            return super().update_batch(values, collect_stats=collect_stats)
-        arr = as_value_array(values)
-        n = arr.shape[0]
-        if n == 0:
-            return BatchResult(0)
-        data = arr.tolist()
-        drift_indices: List[int] = []
+        data = values.tolist()
+        n = len(data)
         window = list(self._window)
         window_size = self._window_size
         stat_size = self._stat_size
         rng_sample = self._rng.sample
         critical = self._critical
 
-        index = 0
+        index = position
         while index < n:
             if len(window) < window_size - 1:
                 # Elements that leave the window still short of full never
@@ -181,14 +174,13 @@ class Kswin(DriftDetector):
             recent = window[-stat_size:]
             sample_older = rng_sample(window[:-stat_size], stat_size)
             if _ks_statistic(recent, sample_older) > critical:
-                drift_indices.append(index)
+                drifts.append(index)
+                warnings.append(index)
                 window = recent
             index += 1
 
         self._window = deque(window, maxlen=window_size)
-        return self._finish_batch(
-            n, drift_indices, list(drift_indices), DriftType.DISTRIBUTION
-        )
+        return n - position, limit, DriftType.DISTRIBUTION
 
     def reset(self) -> None:
         """Forget all retained values."""

@@ -10,17 +10,11 @@ included here as an extension beyond the paper's baseline set.
 
 from __future__ import annotations
 
-from typing import Iterable, List
+from typing import List, Tuple
 
 import numpy as np
 
-from repro.core.base import (
-    BatchResult,
-    DetectionResult,
-    DriftDetector,
-    DriftType,
-    as_value_array,
-)
+from repro.core.base import DetectionResult, DriftDetector, DriftType
 from repro.exceptions import ConfigurationError
 from repro.stats.incremental import seeded_segment_means
 
@@ -111,65 +105,48 @@ class PageHinkley(DriftDetector):
 
     # ------------------------------------------------------- batched updates
 
-    def update_batch(
-        self, values: Iterable[float], collect_stats: bool = False
-    ) -> BatchResult:
-        """Batched update, bit-identical to the scalar loop.
+    def _batch_kernel(
+        self,
+        values: np.ndarray,
+        position: int,
+        limit: int,
+        drifts: List[int],
+        warnings: List[int],
+    ) -> Tuple[int, int, DriftType]:
+        """Segment update, bit-identical to the scalar loop.
 
         The running means of a whole between-drift segment are produced by one
         exact cumulative sum; the forgetting recurrence of the PH statistic is
         sequential, so it runs in a tight local-variable loop over the
         pre-computed deviations without any per-element allocations.
         """
-        if collect_stats or type(self)._update_one is not PageHinkley._update_one:
-            return super().update_batch(values, collect_stats=collect_stats)
-        arr = as_value_array(values)
-        n = arr.shape[0]
-        if n == 0:
-            return BatchResult(0)
-        drift_indices: List[int] = []
         alpha = self._alpha
         threshold = self._threshold
         min_n = self._min_num_instances
-        position = 0
-        limit = self._BATCH_CHUNK
-        while position < n:
-            # Bounded segments keep the whole call O(n) even on streams where
-            # drifts (which restart the closed form) are frequent.
-            segment = arr[position : position + limit]
-            count = segment.shape[0]
-            sums, _, means = seeded_segment_means(self._sum, self._n, segment)
-            deviations = ((segment - means) - self._delta).tolist()
+        segment = values[position : position + limit]
+        count = segment.shape[0]
+        sums, _, means = seeded_segment_means(self._sum, self._n, segment)
+        deviations = ((segment - means) - self._delta).tolist()
 
-            cumulative = self._cumulative
-            minimum = self._minimum
-            n_before = self._n
-            drift_rel = -1
-            for rel, deviation in enumerate(deviations):
-                cumulative = alpha * cumulative + deviation
-                minimum = min(minimum, cumulative)
-                if n_before + rel + 1 < min_n:
-                    continue
-                if cumulative - minimum > threshold:
-                    drift_rel = rel
-                    break
-            if drift_rel < 0:
-                self._n += count
-                self._sum = float(sums[-1])
-                self._mean = float(means[-1])
-                self._cumulative = cumulative
-                self._minimum = minimum
-                position += count
-                limit = self._segment_limit(limit * 4)
+        cumulative = self._cumulative
+        minimum = self._minimum
+        n_before = self._n
+        for rel, deviation in enumerate(deviations):
+            cumulative = alpha * cumulative + deviation
+            minimum = min(minimum, cumulative)
+            if n_before + rel + 1 < min_n:
                 continue
-            drift_indices.append(position + drift_rel)
-            limit = self._segment_limit(n_before + drift_rel + 1)
-            self._init_state()
-            position += drift_rel + 1
-
-        return self._finish_batch(
-            n, drift_indices, list(drift_indices), DriftType.MEAN
-        )
+            if cumulative - minimum > threshold:
+                drifts.append(position + rel)
+                warnings.append(position + rel)
+                self._init_state()
+                return rel + 1, self._segment_limit(n_before + rel + 1), DriftType.MEAN
+        self._n += count
+        self._sum = float(sums[-1])
+        self._mean = float(means[-1])
+        self._cumulative = cumulative
+        self._minimum = minimum
+        return count, self._segment_limit(limit * 4), DriftType.MEAN
 
     def reset(self) -> None:
         """Forget all statistics."""

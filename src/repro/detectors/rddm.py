@@ -16,16 +16,14 @@ from __future__ import annotations
 import math
 from collections import deque
 from itertools import islice
-from typing import Deque, Iterable, List
+from typing import Deque, List, Tuple
 
 import numpy as np
 
 from repro.core.base import (
-    BatchResult,
     DetectionResult,
     DriftDetector,
     DriftType,
-    as_value_array,
     seeded_running_argmin,
 )
 from repro.exceptions import ConfigurationError
@@ -184,10 +182,15 @@ class Rddm(DriftDetector):
     #: inside the burst extends it.
     _SCALAR_BURST = 24
 
-    def update_batch(
-        self, values: Iterable[float], collect_stats: bool = False
-    ) -> BatchResult:
-        """Closed-form batched update (bit-identical to the scalar loop).
+    def _batch_kernel(
+        self,
+        values: np.ndarray,
+        position: int,
+        limit: int,
+        drifts: List[int],
+        warnings: List[int],
+    ) -> Tuple[int, int, DriftType]:
+        """Closed-form segment update (bit-identical to the scalar loop).
 
         Between boundary events every RDDM quantity has a closed form in the
         cumulative error count: the error rate is an exact integer sum divided
@@ -197,127 +200,108 @@ class Rddm(DriftDetector):
         a drift (natural or warning-limit forced) and the reactive rebuild at
         ``max_concept_size`` — are each executed through the scalar
         ``_update_one`` for that single element, so the refold/rebuild
-        behaviour is the scalar code itself.
+        behaviour is the scalar code itself; the scalar burst that follows
+        is part of the same call.
         """
-        if collect_stats or type(self)._update_one is not Rddm._update_one:
-            return super().update_batch(values, collect_stats=collect_stats)
-        arr = as_value_array(values)
-        n = arr.shape[0]
-        if n == 0:
-            return BatchResult(0)
-        errors = np.where(arr > 0.5, 1.0, 0.0)
-        drift_indices: List[int] = []
-        warning_indices: List[int] = []
-        position = 0
-        limit = self._BATCH_CHUNK
-        while position < n:
-            segment = errors[position : position + limit]
-            count = segment.shape[0]
-            sums, counts, rates = seeded_segment_means(
-                self._error_sum, self._n, segment
-            )
-            stds = np.sqrt(np.maximum(rates * (1.0 - rates), 0.0) / counts)
-
-            start_valid = max(0, self._min_num_instances - self._n - 1)
-            if start_valid >= count:
-                self._n += count
-                self._error_sum = float(sums[-1])
-                self._error_rate = float(rates[-1])
-                self._recent.extend(segment.tolist())
-                position += count
-                limit = self._segment_limit(limit * 4)
-                continue
-
-            rates_v = rates[start_valid:]
-            stds_v = stds[start_valid:]
-            levels_v = rates_v + stds_v
-            m = levels_v.shape[0]
-
-            # The min update uses <= so ties move the (p_min, s_min) pair
-            # forward, exactly like the scalar ``_fold``.
-            change_index = seeded_running_argmin(levels_v, self._ps_min)
-            gather = np.maximum(change_index, 0)
-            p_min = np.where(change_index >= 0, rates_v[gather], self._p_min)
-            s_min = np.where(change_index >= 0, stds_v[gather], self._s_min)
-
-            natural = levels_v >= p_min + self._drift_level * s_min
-            warning = levels_v >= p_min + self._warning_level * s_min
-
-            # Consecutive-warning run length, seeded with the current counter:
-            # a non-warning element resets the run, warnings extend it.
-            pos_v = np.arange(m)
-            last_block = np.where(~warning, pos_v, -1)
-            np.maximum.accumulate(last_block, out=last_block)
-            runs = np.where(
-                last_block >= 0,
-                pos_v - last_block,
-                pos_v + 1 + self._warning_count,
-            )
-            forced = warning & ~natural & (runs >= self._warning_limit)
-            drift = natural | forced
-            rebuild = (counts[start_valid:] >= self._max_concept_size) & ~drift
-
-            base = position + start_valid
-            event_positions = np.flatnonzero(drift | rebuild)
-            if event_positions.size == 0:
-                warning_indices.extend((np.flatnonzero(warning) + base).tolist())
-                self._n += count
-                self._error_sum = float(sums[-1])
-                self._error_rate = float(rates[-1])
-                final_change = int(change_index[-1])
-                if final_change >= 0:
-                    self._p_min = float(rates_v[final_change])
-                    self._s_min = float(stds_v[final_change])
-                    self._ps_min = float(levels_v[final_change])
-                self._warning_count = int(runs[-1]) if warning[-1] else 0
-                self._recent.extend(segment.tolist())
-                position += count
-                limit = self._segment_limit(limit * 4)
-                continue
-
-            # Commit the closed-form state up to (excluding) the event element,
-            # then run that element through the scalar path so the refold /
-            # rebuild logic is executed verbatim.
-            event_rel = int(event_positions[0])
-            consumed = start_valid + event_rel
-            warning_indices.extend(
-                (np.flatnonzero(warning[:event_rel]) + base).tolist()
-            )
-            if consumed > 0:
-                self._n += consumed
-                self._error_sum = float(sums[consumed - 1])
-                self._error_rate = float(rates[consumed - 1])
-            if event_rel > 0:
-                prior_change = int(change_index[event_rel - 1])
-                if prior_change >= 0:
-                    self._p_min = float(rates_v[prior_change])
-                    self._s_min = float(stds_v[prior_change])
-                    self._ps_min = float(levels_v[prior_change])
-                self._warning_count = (
-                    int(runs[event_rel - 1]) if warning[event_rel - 1] else 0
-                )
-            self._recent.extend(segment[:consumed].tolist())
-            position += consumed
-            stretch = self._n + 1
-            burst_remaining = 1
-            while burst_remaining > 0 and position < n:
-                folded = self._n
-                outcome = self._update_one(float(arr[position]))
-                if outcome.drift_detected:
-                    drift_indices.append(position)
-                    warning_indices.append(position)
-                    burst_remaining = self._SCALAR_BURST
-                    stretch = folded + 1
-                else:
-                    if outcome.warning_detected:
-                        warning_indices.append(position)
-                    burst_remaining -= 1
-                position += 1
-            limit = self._segment_limit(stretch)
-
-        return self._finish_batch(
-            n, drift_indices, warning_indices, DriftType.MEAN
+        segment = np.where(values[position : position + limit] > 0.5, 1.0, 0.0)
+        count = segment.shape[0]
+        sums, counts, rates = seeded_segment_means(
+            self._error_sum, self._n, segment
         )
+        stds = np.sqrt(np.maximum(rates * (1.0 - rates), 0.0) / counts)
+
+        start_valid = max(0, self._min_num_instances - self._n - 1)
+        if start_valid >= count:
+            self._n += count
+            self._error_sum = float(sums[-1])
+            self._error_rate = float(rates[-1])
+            self._recent.extend(segment.tolist())
+            return count, self._segment_limit(limit * 4), DriftType.MEAN
+
+        rates_v = rates[start_valid:]
+        stds_v = stds[start_valid:]
+        levels_v = rates_v + stds_v
+        m = levels_v.shape[0]
+
+        # The min update uses <= so ties move the (p_min, s_min) pair
+        # forward, exactly like the scalar ``_fold``.
+        change_index = seeded_running_argmin(levels_v, self._ps_min)
+        gather = np.maximum(change_index, 0)
+        p_min = np.where(change_index >= 0, rates_v[gather], self._p_min)
+        s_min = np.where(change_index >= 0, stds_v[gather], self._s_min)
+
+        natural = levels_v >= p_min + self._drift_level * s_min
+        warning = levels_v >= p_min + self._warning_level * s_min
+
+        # Consecutive-warning run length, seeded with the current counter:
+        # a non-warning element resets the run, warnings extend it.
+        pos_v = np.arange(m)
+        last_block = np.where(~warning, pos_v, -1)
+        np.maximum.accumulate(last_block, out=last_block)
+        runs = np.where(
+            last_block >= 0,
+            pos_v - last_block,
+            pos_v + 1 + self._warning_count,
+        )
+        forced = warning & ~natural & (runs >= self._warning_limit)
+        drift = natural | forced
+        rebuild = (counts[start_valid:] >= self._max_concept_size) & ~drift
+
+        base = position + start_valid
+        event_positions = np.flatnonzero(drift | rebuild)
+        if event_positions.size == 0:
+            warnings.extend((np.flatnonzero(warning) + base).tolist())
+            self._n += count
+            self._error_sum = float(sums[-1])
+            self._error_rate = float(rates[-1])
+            final_change = int(change_index[-1])
+            if final_change >= 0:
+                self._p_min = float(rates_v[final_change])
+                self._s_min = float(stds_v[final_change])
+                self._ps_min = float(levels_v[final_change])
+            self._warning_count = int(runs[-1]) if warning[-1] else 0
+            self._recent.extend(segment.tolist())
+            return count, self._segment_limit(limit * 4), DriftType.MEAN
+
+        # Commit the closed-form state up to (excluding) the event element,
+        # then run that element through the scalar path so the refold /
+        # rebuild logic is executed verbatim.
+        event_rel = int(event_positions[0])
+        consumed = start_valid + event_rel
+        warnings.extend(
+            (np.flatnonzero(warning[:event_rel]) + base).tolist()
+        )
+        if consumed > 0:
+            self._n += consumed
+            self._error_sum = float(sums[consumed - 1])
+            self._error_rate = float(rates[consumed - 1])
+        if event_rel > 0:
+            prior_change = int(change_index[event_rel - 1])
+            if prior_change >= 0:
+                self._p_min = float(rates_v[prior_change])
+                self._s_min = float(stds_v[prior_change])
+                self._ps_min = float(levels_v[prior_change])
+            self._warning_count = (
+                int(runs[event_rel - 1]) if warning[event_rel - 1] else 0
+            )
+        self._recent.extend(segment[:consumed].tolist())
+        index = position + consumed
+        stretch = self._n + 1
+        burst_remaining = 1
+        while burst_remaining > 0 and index < values.shape[0]:
+            folded = self._n
+            outcome = self._update_one(float(values[index]))
+            if outcome.drift_detected:
+                drifts.append(index)
+                warnings.append(index)
+                burst_remaining = self._SCALAR_BURST
+                stretch = folded + 1
+            else:
+                if outcome.warning_detected:
+                    warnings.append(index)
+                burst_remaining -= 1
+            index += 1
+        return index - position, self._segment_limit(stretch), DriftType.MEAN
 
     def reset(self) -> None:
         """Forget all statistics and the recent-prediction buffer."""

@@ -17,17 +17,11 @@ could run STEPD on its non-binary streams.
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, Iterable, List
+from typing import Deque, List, Tuple
 
 import numpy as np
 
-from repro.core.base import (
-    BatchResult,
-    DetectionResult,
-    DriftDetector,
-    DriftType,
-    as_value_array,
-)
+from repro.core.base import DetectionResult, DriftDetector, DriftType
 from repro.exceptions import ConfigurationError
 from repro.stats.distributions import normal_cdf, normal_ppf
 from repro.stats.proportions import (
@@ -142,10 +136,15 @@ class Stepd(DriftDetector):
 
     # ------------------------------------------------------- batched updates
 
-    def update_batch(
-        self, values: Iterable[float], collect_stats: bool = False
-    ) -> BatchResult:
-        """Closed-form batched update (bit-identical to the scalar loop).
+    def _batch_kernel(
+        self,
+        values: np.ndarray,
+        position: int,
+        limit: int,
+        drifts: List[int],
+        warnings: List[int],
+    ) -> Tuple[int, int, DriftType]:
+        """Closed-form segment update (bit-identical to the scalar loop).
 
         Between resets STEPD's two segment summaries have closed forms in the
         cumulative correct count: one prefix sum over the retained recent
@@ -157,86 +156,57 @@ class Stepd(DriftDetector):
         :func:`repro.stats.proportions.equal_proportions_statistics`.  The
         exact scalar p-value is evaluated only for the few candidates that
         pass a conservative statistic screen; a drift (which resets the
-        state) ends the vectorised segment.
+        state) ends the segment early.
         """
-        if collect_stats or type(self)._update_one is not Stepd._update_one:
-            return super().update_batch(values, collect_stats=collect_stats)
-        arr = as_value_array(values)
-        n = arr.shape[0]
-        if n == 0:
-            return BatchResult(0)
-        corrects = np.where(arr > 0.5, 0.0, 1.0)
-        drift_indices: List[int] = []
-        warning_indices: List[int] = []
         window = self._window_size
-        alpha_drift = self._alpha_drift
-        alpha_warning = self._alpha_warning
-        screen = self._screen_statistic
-        position = 0
-        limit = self._BATCH_CHUNK
-        while position < n:
-            # Bounded segments keep the whole call O(n) even on streams where
-            # drifts (which restart the closed form) are frequent.
-            segment = corrects[position : position + limit]
-            count = segment.shape[0]
-            retained = len(self._recent)
-            combined = np.empty(retained + count, dtype=np.float64)
-            combined[:retained] = self._recent
-            combined[retained:] = segment
-            prefix = np.empty(retained + count + 1, dtype=np.float64)
-            prefix[0] = 0.0
-            np.cumsum(combined, out=prefix[1:])
+        segment = np.where(values[position : position + limit] > 0.5, 0.0, 1.0)
+        count = segment.shape[0]
+        retained = len(self._recent)
+        combined = np.empty(retained + count, dtype=np.float64)
+        combined[:retained] = self._recent
+        combined[retained:] = segment
+        prefix = np.empty(retained + count + 1, dtype=np.float64)
+        prefix[0] = 0.0
+        np.cumsum(combined, out=prefix[1:])
 
-            totals = retained + 1 + np.arange(count)
-            popped = np.maximum(totals - window, 0)
-            recent_count = np.minimum(totals, window)
-            recent_correct = prefix[totals] - prefix[popped]
-            older_count = self._older_count + popped
-            older_correct = self._older_correct + prefix[popped]
-            testable = (recent_count == window) & (older_count >= window)
+        totals = retained + 1 + np.arange(count)
+        popped = np.maximum(totals - window, 0)
+        recent_count = np.minimum(totals, window)
+        recent_correct = prefix[totals] - prefix[popped]
+        older_count = self._older_count + popped
+        older_correct = self._older_correct + prefix[popped]
+        testable = (recent_count == window) & (older_count >= window)
 
-            statistics = equal_proportions_statistics(
-                recent_correct,
-                recent_count,
-                older_correct,
-                np.maximum(older_count, 1),
-            )
-            candidates = np.flatnonzero(testable & (statistics > screen))
-
-            drift_rel = -1
-            for rel in candidates.tolist():
-                p_value = 1.0 - normal_cdf(float(statistics[rel]))
-                if p_value < alpha_drift:
-                    drift_rel = rel
-                    break
-                if p_value < alpha_warning:
-                    warning_indices.append(position + rel)
-
-            if drift_rel < 0:
-                final_total = retained + count
-                keep = min(final_total, window)
-                self._recent = deque(
-                    combined[final_total - keep :].tolist(), maxlen=window
-                )
-                self._recent_correct = float(recent_correct[-1])
-                self._older_count = int(older_count[-1])
-                self._older_correct = float(older_correct[-1])
-                position += count
-                limit = self._segment_limit(limit * 4)
-                continue
-
-            drift_index = position + drift_rel
-            drift_indices.append(drift_index)
-            warning_indices.append(drift_index)
-            limit = self._segment_limit(
-                self._older_count + retained + drift_rel + 1
-            )
-            self._init_state()
-            position = drift_index + 1
-
-        return self._finish_batch(
-            n, drift_indices, warning_indices, DriftType.MEAN
+        statistics = equal_proportions_statistics(
+            recent_correct,
+            recent_count,
+            older_correct,
+            np.maximum(older_count, 1),
         )
+        candidates = np.flatnonzero(testable & (statistics > self._screen_statistic))
+
+        for rel in candidates.tolist():
+            p_value = 1.0 - normal_cdf(float(statistics[rel]))
+            if p_value < self._alpha_drift:
+                drifts.append(position + rel)
+                warnings.append(position + rel)
+                next_limit = self._segment_limit(
+                    self._older_count + retained + rel + 1
+                )
+                self._init_state()
+                return rel + 1, next_limit, DriftType.MEAN
+            if p_value < self._alpha_warning:
+                warnings.append(position + rel)
+
+        final_total = retained + count
+        keep = min(final_total, window)
+        self._recent = deque(
+            combined[final_total - keep :].tolist(), maxlen=window
+        )
+        self._recent_correct = float(recent_correct[-1])
+        self._older_count = int(older_count[-1])
+        self._older_correct = float(older_correct[-1])
+        return count, self._segment_limit(limit * 4), DriftType.MEAN
 
     def reset(self) -> None:
         """Forget all statistics."""

@@ -38,7 +38,6 @@ from __future__ import annotations
 
 import dataclasses
 import functools
-import hashlib
 import inspect
 import json
 import os
@@ -48,6 +47,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.core.base import DriftDetector
+from repro.core.config import grid_config_hash
 from repro.evaluation.drift_metrics import evaluate_detections
 from repro.evaluation.experiment import (
     DetectorRunResult,
@@ -112,12 +112,6 @@ def decompose_grid(
 def default_learner_factory(stream: InstanceStream) -> Classifier:
     """The paper's classifier: an incremental Naive Bayes over the stream schema."""
     return NaiveBayes(schema=stream.schema, n_classes=stream.n_classes)
-
-
-def grid_config_hash(payload: Mapping[str, object]) -> str:
-    """Stable hash of a grid configuration (keys persisted JSONL records)."""
-    canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:16]
 
 
 #: Substrings that betray a process-dependent identity token (memory

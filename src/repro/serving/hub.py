@@ -67,6 +67,7 @@ from typing import (
 import numpy as np
 
 from repro.core.base import BatchResult, DriftDetector
+from repro.core.config import grid_config_hash
 from repro.exceptions import ConfigurationError, SnapshotError
 from repro.obs.journal import EventJournal
 from repro.obs.prom import UpdateTimings
@@ -1066,8 +1067,6 @@ class MonitorHub:
         detector class, configuration) so that two hubs hosting the same
         monitors hash identically regardless of registration order.
         """
-        from repro.experiments.orchestrator import grid_config_hash
-
         tokens = sorted(
             (entry.tenant, entry.monitor_id, entry.group_key)
             for entry in self._entries.values()

@@ -16,6 +16,7 @@ concurrency model.
 
 from __future__ import annotations
 
+import math
 import time
 from collections import deque
 from typing import Any, Callable, Deque, Dict, Optional, Sequence, Tuple
@@ -92,10 +93,12 @@ class LatencyWindow:
 class RateMeter:
     """Sliding-window event counter reporting events/second.
 
-    Counts are bucketed as ``(timestamp, n)`` pairs; :meth:`rate` sums the
-    buckets newer than ``window`` seconds and divides by the *covered* time
-    span (so a meter that has only been running for two seconds reports a
-    two-second rate, not a sixty-second average diluted by silence).
+    Counts are merged into one ``(second, n)`` bucket per clock second, so
+    at most ``window + 1`` buckets exist whatever the event rate;
+    :meth:`rate` sums the buckets not older than ``window`` seconds and
+    divides by the *covered* time span (so a meter that has only been
+    running for two seconds reports a two-second rate, not a sixty-second
+    average diluted by silence).  The window's edge moves in whole seconds.
     """
 
     def __init__(
@@ -105,7 +108,7 @@ class RateMeter:
             raise ConfigurationError(f"window must be positive, got {window}")
         self._window = float(window)
         self._clock = clock
-        self._buckets: Deque[Tuple[float, int]] = deque()
+        self._buckets: Deque[Tuple[int, int]] = deque()
         self._n_total = 0
         self._started = clock()
 
@@ -114,7 +117,12 @@ class RateMeter:
         if n <= 0:
             return
         stamp = self._clock() if now is None else float(now)
-        self._buckets.append((stamp, int(n)))
+        second = math.floor(stamp)
+        buckets = self._buckets
+        if buckets and buckets[-1][0] >= second:
+            buckets[-1] = (buckets[-1][0], buckets[-1][1] + int(n))
+        else:
+            buckets.append((second, int(n)))
         self._n_total += int(n)
         self._evict(stamp)
 

@@ -74,6 +74,7 @@ from typing import (
 import numpy as np
 
 from repro.core.base import DriftDetector
+from repro.core.config import grid_config_hash
 from repro.exceptions import ConfigurationError, ShardError, SnapshotError
 from repro.obs.journal import EventJournal, check_limit
 from repro.obs.trace import TraceContext, Tracer
@@ -1463,8 +1464,6 @@ class ShardedHub:
         intent before its commit point; ``prev_assignment`` names the
         pre-commit table until the sources' stale copies are cleaned up.
         """
-        from repro.experiments.orchestrator import grid_config_hash
-
         n = self._n_shards if n_shards is None else n_shards
         table = list(self._assignment if assignment is None else assignment)
         manifest = {

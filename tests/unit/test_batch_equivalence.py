@@ -13,7 +13,7 @@ detector without covering it here fails the registry test.
 import numpy as np
 import pytest
 
-from repro.core.base import DriftDetector
+from repro.core.base import DetectionResult, DriftDetector
 from repro.core.optwin import Optwin
 from repro.detectors import exported_detector_classes
 from repro.detectors.adwin import Adwin
@@ -235,10 +235,11 @@ def test_update_many_routes_through_batch():
     assert via_many  # the stream contains real drifts
 
 
-def test_collect_stats_matches_scalar_statistics():
-    values = _multi_drift_binary()[:2_000]
-    scalar_detector = Optwin(rho=0.5, w_max=5_000)
-    batch_detector = Optwin(rho=0.5, w_max=5_000)
+@pytest.mark.parametrize("detector_name", sorted(DETECTORS))
+def test_collect_stats_matches_scalar_statistics(detector_name):
+    values = _multi_drift_binary()[:5_000]
+    scalar_detector = DETECTORS[detector_name]()
+    batch_detector = DETECTORS[detector_name]()
     scalar_results = [scalar_detector.update(v) for v in values]
     outcome = batch_detector.update_batch(values, collect_stats=True)
     assert outcome.results is not None
@@ -269,17 +270,29 @@ def test_batch_accepts_plain_iterables():
     assert from_list == from_generator == from_array
 
 
-def test_subclass_overriding_update_one_falls_back_to_scalar():
-    class SilencedOptwin(Optwin):
+@pytest.mark.parametrize("detector_name", sorted(DETECTORS))
+def test_subclass_overriding_update_one_falls_back_to_scalar(detector_name):
+    detector = DETECTORS[detector_name]()
+
+    class Silenced(type(detector)):
+        calls = 0
+
         def _update_one(self, value):
+            self.calls += 1
             result = super()._update_one(value)
             if result.drift_detected:
-                from repro.core.base import DetectionResult
-
                 return DetectionResult(statistics=result.statistics)
             return result
 
     values = _multi_drift_binary()
-    detector = SilencedOptwin(rho=0.5, w_max=5_000)
-    assert detector.update_many(values) == []
-    assert Optwin(rho=0.5, w_max=5_000).update_many(values) != []
+    config = detector._config_dict()
+    silenced = Silenced.from_config_dict(config)
+    outcome = silenced.update_batch(values)
+    scalar_drifts, scalar_warnings = _scalar_reference(
+        Silenced.from_config_dict(config), values
+    )
+    assert silenced.calls == len(values)
+    assert outcome.drift_indices == scalar_drifts == []
+    assert outcome.warning_indices == scalar_warnings
+    if not isinstance(detector, NoDriftDetector):
+        assert detector.update_many(values) != []

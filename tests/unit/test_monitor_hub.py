@@ -3,6 +3,10 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -411,6 +415,32 @@ def test_checkpoint_requires_directory():
 def test_checkpoint_every_requires_directory():
     with pytest.raises(ConfigurationError):
         MonitorHub(checkpoint_every=1000)
+
+
+def test_checkpoint_does_not_import_the_experiments_package(tmp_path):
+    """The composition hash must not drag ``repro.experiments`` (and the
+    learners and streams it imports) into a serving process on its first
+    checkpoint."""
+    script = (
+        "import sys\n"
+        "from repro.detectors import Ddm\n"
+        "from repro.serving.hub import MonitorHub\n"
+        f"hub = MonitorHub(checkpoint_dir={str(tmp_path)!r})\n"
+        "hub.register('acme', 'checkout', Ddm())\n"
+        "hub.checkpoint()\n"
+        "print(sorted(m for m in sys.modules if m.startswith('repro.experiments')))\n"
+    )
+    src = Path(__file__).resolve().parents[2] / "src"
+    out = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        check=True,
+        env={**os.environ, "PYTHONPATH": str(src)},
+        timeout=120,
+    )
+    assert any(tmp_path.iterdir())  # the checkpoint was written
+    assert out.stdout.strip() == "[]"
 
 
 def test_stats_views():
