@@ -19,7 +19,10 @@ callers that prefer the River-style property API.
 from __future__ import annotations
 
 import abc
+import collections.abc
 import numbers
+import reprlib
+from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Any, ClassVar, Dict, Iterable, List, Mapping, Optional, Tuple, Type
@@ -35,27 +38,40 @@ from repro.exceptions import SnapshotError
 SNAPSHOT_SCHEMA_VERSION = 1
 
 
-def as_value_array(values: Iterable[float]) -> "np.ndarray":
-    """Coerce a chunk of monitored values into a contiguous float64 vector.
+def as_value_array(values: Any) -> "np.ndarray":
+    """Coerce monitored values into a contiguous 1-d float64 vector.
 
-    Accepts 1-d array-likes, 0-d arrays, and bare real scalars — including
-    numpy scalars such as ``np.int64``/``np.float32``, which are
-    :class:`numbers.Real` but *not* ``int``/``float`` and therefore must not
-    fall through to the generic ``np.fromiter`` path (a 0-d value is not
-    iterable).  ``np.bool_`` (the type of ``y_pred != y_true`` on numpy
-    scalars) registers in *no* ``numbers`` ABC, so it needs its own clause.
-    Scalars yield a one-element vector.
+    This is the one input rule of :meth:`DriftDetector.update_batch` (both
+    of its paths) and of the hubs' payload check.  A real scalar — anything
+    :class:`numbers.Real`, which includes numpy scalars such as
+    ``np.float32``, plus ``np.bool_``, which registers in no ``numbers``
+    ABC — is one value.  A flat (at most 1-d) array-like whose items numpy
+    reads as booleans, integers or floats converts to float64; an iterator
+    is listed first.  Anything else — a string (numeric ones such as ``"1"``
+    or ``"nan"`` included), a mapping, ``None`` (bare or in a list), or a
+    nested or ragged list — raises :class:`TypeError`.
     """
-    if isinstance(values, np.ndarray):
-        array = np.ascontiguousarray(values, dtype=np.float64)
-        if array.ndim != 1:
-            array = array.reshape(-1)
-        return array
-    if isinstance(values, (list, tuple)):
-        return np.asarray(values, dtype=np.float64)
+    if isinstance(values, np.ndarray) and values.ndim == 1:
+        if values.dtype == np.float64:
+            return np.ascontiguousarray(values)
     if isinstance(values, (numbers.Real, np.bool_)):
-        return np.asarray([float(values)], dtype=np.float64)
-    return np.fromiter(values, dtype=np.float64)
+        return np.array([float(values)], dtype=np.float64)
+    if isinstance(values, collections.abc.Iterator):
+        values = list(values)  # a generator, which np.asarray would not unpack
+    try:
+        # No dtype: numpy would parse numeric strings into floats.  The kind
+        # it infers tells plain numbers from anything else.
+        array = np.asarray(values)
+    except (TypeError, ValueError):  # a ragged list
+        pass
+    else:
+        if array.ndim <= 1 and array.dtype.kind in "biuf":
+            # ascontiguousarray returns a 0-d array as a one-element vector.
+            return np.ascontiguousarray(array, dtype=np.float64)
+    raise TypeError(
+        "values must be a number or a flat list of numbers, "
+        f"got {reprlib.repr(values)}"
+    )
 
 
 def _rebuild_detector(
@@ -179,13 +195,34 @@ class BatchResult:
 class DriftDetector(abc.ABC):
     """Abstract base class for error-rate-based concept-drift detectors.
 
-    Sub-classes implement :meth:`_update_one` and :meth:`reset`; the public
-    :meth:`update` wraps :meth:`_update_one` with element counting and result
-    bookkeeping so every detector exposes identical statistics.  A detector
-    with a vectorised batch path also implements :meth:`_batch_kernel`, which
-    :meth:`update_batch` drives; without one, :meth:`update_batch` is the
-    scalar loop over :meth:`update`.
+    A detector declares what it is made of and implements one step:
+
+    * ``_CONFIG`` names its constructor keywords, each stored as
+      ``self._<name>``; :meth:`_config_dict` reads them.
+    * ``_STATE`` names its mutable fields, each stored as ``self._<name>``;
+      :meth:`_state_dict` saves them and :meth:`_load_state` restores each
+      to the type :meth:`_init_state` gives it (a deque is saved as a list
+      and restored as a deque of floats with the same ``maxlen``).
+    * :meth:`_init_state` sets those fields to their post-construction
+      values; ``__init__`` ends by calling it, and :meth:`reset` is
+      ``_init_state()`` plus the counters.
+    * :meth:`_update_one` processes one value; the public :meth:`update`
+      wraps it with element counting and result bookkeeping, so every
+      detector exposes identical statistics.
+    * Optionally, :meth:`_batch_kernel` is a vectorised batch path, which
+      :meth:`update_batch` drives; without one, :meth:`update_batch` is the
+      scalar loop over :meth:`update`.
+
+    A detector whose state is more than plain scalars and deques (ADWIN's
+    bucket rows, KSWIN's RNG, ECDD's estimator, OPTWIN's prefix arrays)
+    extends or replaces the two snapshot methods.
     """
+
+    #: Constructor keywords, each stored as ``self._<name>``.
+    _CONFIG: ClassVar[Tuple[str, ...]] = ()
+    #: Mutable fields (set by :meth:`_init_state`), each stored as
+    #: ``self._<name>`` and saved under ``<name>``, in this order.
+    _STATE: ClassVar[Tuple[str, ...]] = ()
 
     #: Maximum number of elements evaluated by one vectorised segment of a
     #: batch kernel, and the first segment's length in every call.  Shared
@@ -258,30 +295,31 @@ class DriftDetector(abc.ABC):
         Parameters
         ----------
         values:
-            Chunk of monitored values, oldest first.
+            Chunk of monitored values, oldest first: one real number or a
+            flat array-like of them (see :func:`as_value_array`, which
+            raises :class:`TypeError` on anything else before any value is
+            processed).
         collect_stats:
             When ``True``, per-element :class:`DetectionResult` objects
             (including their diagnostic ``statistics`` dicts) are collected in
             :attr:`BatchResult.results`.  This mode always runs the scalar
             loop — ask for statistics only when you need them.
         """
+        array = as_value_array(values)
+        n = array.shape[0]
         drift_indices: List[int] = []
         warning_indices: List[int] = []
         if collect_stats or not self._runs_kernel:
             results: Optional[List[DetectionResult]] = [] if collect_stats else None
-            count = 0
-            for index, value in enumerate(values):
+            for index, value in enumerate(array.tolist()):
                 outcome = self.update(value)
-                count += 1
                 if outcome.drift_detected:
                     drift_indices.append(index)
                 if outcome.warning_detected:
                     warning_indices.append(index)
                 if results is not None:
                     results.append(outcome)
-            return BatchResult(count, drift_indices, warning_indices, results)
-        array = as_value_array(values)
-        n = array.shape[0]
+            return BatchResult(n, drift_indices, warning_indices, results)
         if n == 0:
             return BatchResult(0)
         drift_type: Optional[DriftType] = None
@@ -322,17 +360,24 @@ class DriftDetector(abc.ABC):
     def _update_one(self, value: float) -> DetectionResult:
         """Process one value and return the detection outcome."""
 
-    @abc.abstractmethod
+    def _init_state(self) -> None:
+        """Set every mutable field to its post-construction value.
+
+        Clears internal windows/estimators (and re-seeds any internal RNG)
+        while keeping configuration and data-independent pre-computed
+        tables.  The base class has no state.
+        """
+
     def reset(self) -> None:
         """Return the detector to its initial (post-construction) state.
 
-        Implementations must restore *exactly* the post-``__init__`` state:
-        clear their internal windows/estimators (and re-seed any internal
-        RNGs) while keeping configuration and data-independent pre-computed
-        tables.  The snapshot/restore machinery of :mod:`repro.serving`
-        depends on this invariant, and the registry-driven
+        That is :meth:`_init_state` plus the bookkeeping counters.  The
+        snapshot/restore machinery of :mod:`repro.serving` depends on this
+        being *exactly* the post-``__init__`` state, and the registry-driven
         reset-equals-fresh-instance test enforces it for every detector.
         """
+        self._init_state()
+        self._reset_counters()
 
     # ---------------------------------------------------- snapshot / restore
 
@@ -430,23 +475,35 @@ class DriftDetector(abc.ABC):
         return (_rebuild_detector, (type(self), self._config_dict(), self.state_dict()))
 
     def _config_dict(self) -> Dict[str, Any]:
-        """Constructor kwargs that rebuild an identically configured instance.
-
-        The default is an empty dict (a parameterless detector); detectors
-        with configuration override this.
-        """
-        return {}
+        """Constructor kwargs that rebuild an identically configured instance
+        (the ``_CONFIG`` keywords, in order)."""
+        return {name: getattr(self, "_" + name) for name in self._CONFIG}
 
     def _state_dict(self) -> Dict[str, Any]:
-        """Detector-specific mutable state (everything :meth:`reset` clears).
-
-        The default is an empty dict (a stateless detector); every stateful
-        detector overrides this together with :meth:`_load_state`.
-        """
-        return {}
+        """Detector-specific mutable state (the ``_STATE`` fields, in order;
+        a deque is saved as a list)."""
+        state: Dict[str, Any] = {}
+        for name in self._STATE:
+            value = getattr(self, "_" + name)
+            state[name] = list(value) if isinstance(value, deque) else value
+        return state
 
     def _load_state(self, state: Mapping[str, Any]) -> None:
-        """Restore the payload produced by :meth:`_state_dict`."""
+        """Restore the payload produced by :meth:`_state_dict`.
+
+        Each field gets the type :meth:`_init_state` gives it: a deque is
+        rebuilt as a deque of floats with the same ``maxlen``, any other
+        field is converted by its initial value's type (``int``, ``float``).
+        """
+        self._init_state()
+        for name in self._STATE:
+            initial = getattr(self, "_" + name)
+            value = state[name]
+            if isinstance(initial, deque):
+                value = deque((float(item) for item in value), maxlen=initial.maxlen)
+            else:
+                value = type(initial)(value)
+            setattr(self, "_" + name, value)
 
     # ----------------------------------------------------------- properties
 
@@ -483,7 +540,7 @@ class DriftDetector(abc.ABC):
     # ------------------------------------------------------------- helpers
 
     def _reset_counters(self) -> None:
-        """Reset the bookkeeping counters (used by :meth:`reset` overrides)."""
+        """Reset the bookkeeping counters (the second half of :meth:`reset`)."""
         self._n_seen = 0
         self._n_drifts = 0
         self._n_warnings = 0

@@ -129,11 +129,14 @@ class Optwin(DriftDetector):
             )
         self._config = config
         self._reset_mode = reset_mode
-        self._window = PrefixStats()
-        self._all_values_binary = True
         self._cut_table: CutTable = get_cut_table(
             rho=config.rho, confidence=config.delta_prime, min_length=4
         )
+        self._init_state()
+
+    def _init_state(self) -> None:
+        self._window = PrefixStats()
+        self._all_values_binary = True
 
     # ----------------------------------------------------------- properties
 
@@ -464,12 +467,6 @@ class Optwin(DriftDetector):
         self._apply_reset(n_hist_at_drift, length_at_drift)
         self._all_values_binary = bool(all_binary[drift_rel])
         return consumed, self._segment_limit(w0 + consumed), drift_type
-
-    def reset(self) -> None:
-        """Clear the sliding window and the bookkeeping counters."""
-        self._window.clear()
-        self._all_values_binary = True
-        self._reset_counters()
 
     # ---------------------------------------------------- snapshot / restore
 

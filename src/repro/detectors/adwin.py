@@ -66,6 +66,15 @@ class Adwin(DriftDetector):
         Minimum total window size before any cut check runs.
     """
 
+    _CONFIG = (
+        "delta",
+        "clock",
+        "max_buckets",
+        "min_window_length",
+        "min_n_for_check",
+    )
+    _STATE = ("width", "total", "variance", "ticks")
+
     def __init__(
         self,
         delta: float = 0.002,
@@ -225,37 +234,19 @@ class Adwin(DriftDetector):
         self._ticks = ticks
         return len(chunk), limit, DriftType.MEAN
 
-    def reset(self) -> None:
-        """Drop the whole window and restart."""
-        self._init_state()
-        self._reset_counters()
-
     # ---------------------------------------------------- snapshot / restore
-
-    def _config_dict(self) -> dict:
-        return {
-            "delta": self._delta,
-            "clock": self._clock,
-            "max_buckets": self._max_buckets,
-            "min_window_length": self._min_window_length,
-            "min_n_for_check": self._min_n_for_check,
-        }
 
     def _state_dict(self) -> dict:
         # The exponential histogram, level by level (newest bucket first
         # within a level, mirroring the in-memory order).
-        return {
-            "rows": [
-                [[bucket.total, bucket.variance] for bucket in row.buckets]
-                for row in self._rows
-            ],
-            "width": self._width,
-            "total": self._total,
-            "variance": self._variance,
-            "ticks": self._ticks,
-        }
+        rows = [
+            [[bucket.total, bucket.variance] for bucket in row.buckets]
+            for row in self._rows
+        ]
+        return {"rows": rows, **super()._state_dict()}
 
     def _load_state(self, state: dict) -> None:
+        super()._load_state(state)
         rows: List[_BucketRow] = []
         for row_payload in state["rows"]:
             row = _BucketRow()
@@ -264,13 +255,8 @@ class Adwin(DriftDetector):
                 for total, variance in row_payload
             ]
             rows.append(row)
-        if not rows:
-            rows = [_BucketRow()]
-        self._rows = rows
-        self._width = int(state["width"])
-        self._total = float(state["total"])
-        self._variance = float(state["variance"])
-        self._ticks = int(state["ticks"])
+        if rows:
+            self._rows = rows
 
     # ----------------------------------------------------------- internals
 

@@ -47,6 +47,9 @@ class Ddm(DriftDetector):
         which a drift is flagged.
     """
 
+    _CONFIG = ("min_num_instances", "warning_level", "drift_level")
+    _STATE = ("n", "error_sum", "error_rate", "p_min", "s_min", "ps_min")
+
     def __init__(
         self,
         min_num_instances: int = 30,
@@ -210,35 +213,3 @@ class Ddm(DriftDetector):
         next_limit = self._segment_limit(self._n + start_valid + drift_rel + 1)
         self._init_state()
         return start_valid + drift_rel + 1, next_limit, DriftType.MEAN
-
-    def reset(self) -> None:
-        """Forget all statistics."""
-        self._init_state()
-        self._reset_counters()
-
-    # ---------------------------------------------------- snapshot / restore
-
-    def _config_dict(self) -> dict:
-        return {
-            "min_num_instances": self._min_num_instances,
-            "warning_level": self._warning_level,
-            "drift_level": self._drift_level,
-        }
-
-    def _state_dict(self) -> dict:
-        return {
-            "n": self._n,
-            "error_sum": self._error_sum,
-            "error_rate": self._error_rate,
-            "p_min": self._p_min,
-            "s_min": self._s_min,
-            "ps_min": self._ps_min,
-        }
-
-    def _load_state(self, state: dict) -> None:
-        self._n = int(state["n"])
-        self._error_sum = float(state["error_sum"])
-        self._error_rate = float(state["error_rate"])
-        self._p_min = float(state["p_min"])
-        self._s_min = float(state["s_min"])
-        self._ps_min = float(state["ps_min"])

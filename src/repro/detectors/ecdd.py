@@ -39,6 +39,8 @@ class Ecdd(DriftDetector):
         Number of observations before warnings/drifts can be flagged.
     """
 
+    _CONFIG = ("arl0", "lambda_", "warning_fraction", "min_num_instances")
+
     def __init__(
         self,
         arl0: int = 400,
@@ -60,8 +62,11 @@ class Ecdd(DriftDetector):
         self._arl0 = arl0
         self._warning_fraction = warning_fraction
         self._min_num_instances = min_num_instances
-        self._lambda = lambda_
-        self._estimator = EwmaEstimator(lambda_=lambda_)
+        self._lambda_ = lambda_
+        self._init_state()
+
+    def _init_state(self) -> None:
+        self._estimator = EwmaEstimator(lambda_=self._lambda_)
 
     # ----------------------------------------------------------- properties
 
@@ -88,7 +93,7 @@ class Ecdd(DriftDetector):
 
         p_estimate = self._estimator.p_estimate
         sigma_z = self._estimator.z_std
-        limit_factor = ecdd_control_limit(p_estimate, self._arl0, self._lambda)
+        limit_factor = ecdd_control_limit(p_estimate, self._arl0, self._lambda_)
         control_limit = p_estimate + limit_factor * sigma_z
         warning_limit = p_estimate + self._warning_fraction * limit_factor * sigma_z
 
@@ -135,7 +140,7 @@ class Ecdd(DriftDetector):
         """
         errors = np.where(values[position:] > 0.5, 1.0, 0.0).tolist()
 
-        lambda_ = self._lambda
+        lambda_ = self._lambda_
         one_minus = 1.0 - lambda_
         half = lambda_ / (2.0 - lambda_)
         min_n = self._min_num_instances
@@ -173,20 +178,7 @@ class Ecdd(DriftDetector):
         self._estimator.set_state(count, p_estimate, z, variance_factor)
         return len(errors), limit, DriftType.MEAN
 
-    def reset(self) -> None:
-        """Forget all statistics."""
-        self._estimator.reset()
-        self._reset_counters()
-
     # ---------------------------------------------------- snapshot / restore
-
-    def _config_dict(self) -> dict:
-        return {
-            "arl0": self._arl0,
-            "lambda_": self._lambda,
-            "warning_fraction": self._warning_fraction,
-            "min_num_instances": self._min_num_instances,
-        }
 
     def _state_dict(self) -> dict:
         count, p_estimate, z, variance_factor = self._estimator.state()

@@ -43,6 +43,16 @@ class Eddm(DriftDetector):
         Number of observed instances before warnings/drifts can be flagged.
     """
 
+    _CONFIG = ("alpha", "beta", "min_num_errors", "min_num_instances")
+    _STATE = (
+        "n",
+        "n_errors",
+        "last_error_index",
+        "distance_mean",
+        "distance_m2",
+        "max_level",
+    )
+
     def __init__(
         self,
         alpha: float = 0.95,
@@ -221,36 +231,3 @@ class Eddm(DriftDetector):
         self._distance_m2 = m2
         self._max_level = max_level
         return chunk.shape[0], limit, DriftType.MEAN
-
-    def reset(self) -> None:
-        """Forget all statistics."""
-        self._init_state()
-        self._reset_counters()
-
-    # ---------------------------------------------------- snapshot / restore
-
-    def _config_dict(self) -> dict:
-        return {
-            "alpha": self._alpha,
-            "beta": self._beta,
-            "min_num_errors": self._min_num_errors,
-            "min_num_instances": self._min_num_instances,
-        }
-
-    def _state_dict(self) -> dict:
-        return {
-            "n": self._n,
-            "n_errors": self._n_errors,
-            "last_error_index": self._last_error_index,
-            "distance_mean": self._distance_mean,
-            "distance_m2": self._distance_m2,
-            "max_level": self._max_level,
-        }
-
-    def _load_state(self, state: dict) -> None:
-        self._n = int(state["n"])
-        self._n_errors = int(state["n_errors"])
-        self._last_error_index = int(state["last_error_index"])
-        self._distance_mean = float(state["distance_mean"])
-        self._distance_m2 = float(state["distance_m2"])
-        self._max_level = float(state["max_level"])

@@ -43,6 +43,9 @@ class HddmA(DriftDetector):
         losses); required by Hoeffding's inequality.
     """
 
+    _CONFIG = ("drift_confidence", "warning_confidence", "value_range")
+    _STATE = ("total_count", "total_sum", "best_count", "best_sum", "best_bound")
+
     def __init__(
         self,
         drift_confidence: float = 0.001,
@@ -203,33 +206,3 @@ class HddmA(DriftDetector):
         next_limit = self._segment_limit(self._total_count + drift_rel + 1)
         self._init_state()
         return drift_rel + 1, next_limit, DriftType.MEAN
-
-    def reset(self) -> None:
-        """Forget all statistics."""
-        self._init_state()
-        self._reset_counters()
-
-    # ---------------------------------------------------- snapshot / restore
-
-    def _config_dict(self) -> dict:
-        return {
-            "drift_confidence": self._drift_confidence,
-            "warning_confidence": self._warning_confidence,
-            "value_range": self._value_range,
-        }
-
-    def _state_dict(self) -> dict:
-        return {
-            "total_count": self._total_count,
-            "total_sum": self._total_sum,
-            "best_count": self._best_count,
-            "best_sum": self._best_sum,
-            "best_bound": self._best_bound,
-        }
-
-    def _load_state(self, state: dict) -> None:
-        self._total_count = int(state["total_count"])
-        self._total_sum = float(state["total_sum"])
-        self._best_count = int(state["best_count"])
-        self._best_sum = float(state["best_sum"])
-        self._best_bound = float(state["best_bound"])

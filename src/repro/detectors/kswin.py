@@ -61,6 +61,9 @@ class Kswin(DriftDetector):
         of its window).
     """
 
+    _CONFIG = ("alpha", "window_size", "stat_size", "seed")
+    _STATE = ("window",)
+
     def __init__(
         self,
         alpha: float = 0.005,
@@ -92,13 +95,16 @@ class Kswin(DriftDetector):
         self._window_size = window_size
         self._stat_size = stat_size
         self._seed = seed
-        self._rng = random.Random(seed)
-        self._window: Deque[float] = deque(maxlen=window_size)
         # Two-sample KS critical value at significance alpha; constant in the
         # configuration, shared by the scalar and batched paths.
         self._critical = math.sqrt(-0.5 * math.log(alpha / 2.0)) * math.sqrt(
             2.0 / stat_size
         )
+        self._init_state()
+
+    def _init_state(self) -> None:
+        self._rng = random.Random(self._seed)
+        self._window: Deque[float] = deque(maxlen=self._window_size)
 
     # ------------------------------------------------------------- updates
 
@@ -182,39 +188,22 @@ class Kswin(DriftDetector):
         self._window = deque(window, maxlen=window_size)
         return n - position, limit, DriftType.DISTRIBUTION
 
-    def reset(self) -> None:
-        """Forget all retained values."""
-        self._window = deque(maxlen=self._window_size)
-        self._rng = random.Random(self._seed)
-        self._reset_counters()
-
     # ---------------------------------------------------- snapshot / restore
-
-    def _config_dict(self) -> dict:
-        return {
-            "alpha": self._alpha,
-            "window_size": self._window_size,
-            "stat_size": self._stat_size,
-            "seed": self._seed,
-        }
 
     def _state_dict(self) -> dict:
         # random.Random.getstate() is (version, 625-int internal state,
         # gauss_next); the tuple layers are flattened to lists for JSON.
         version, internal, gauss_next = self._rng.getstate()
-        return {
-            "window": list(self._window),
-            "rng": {
-                "version": version,
-                "internal": list(internal),
-                "gauss_next": gauss_next,
-            },
+        state = super()._state_dict()
+        state["rng"] = {
+            "version": version,
+            "internal": list(internal),
+            "gauss_next": gauss_next,
         }
+        return state
 
     def _load_state(self, state: dict) -> None:
-        self._window = deque(
-            (float(value) for value in state["window"]), maxlen=self._window_size
-        )
+        super()._load_state(state)
         rng_state = state["rng"]
         self._rng.setstate(
             (

@@ -18,7 +18,3 @@ class NoDriftDetector(DriftDetector):
 
     def _update_one(self, value: float) -> DetectionResult:
         return DetectionResult()
-
-    def reset(self) -> None:
-        """Nothing to forget beyond the bookkeeping counters."""
-        self._reset_counters()

@@ -38,6 +38,9 @@ class PageHinkley(DriftDetector):
         Number of observations before a drift can be flagged.
     """
 
+    _CONFIG = ("delta", "threshold", "alpha", "min_num_instances")
+    _STATE = ("n", "sum", "mean", "cumulative", "minimum")
+
     def __init__(
         self,
         delta: float = 0.005,
@@ -147,34 +150,3 @@ class PageHinkley(DriftDetector):
         self._cumulative = cumulative
         self._minimum = minimum
         return count, self._segment_limit(limit * 4), DriftType.MEAN
-
-    def reset(self) -> None:
-        """Forget all statistics."""
-        self._init_state()
-        self._reset_counters()
-
-    # ---------------------------------------------------- snapshot / restore
-
-    def _config_dict(self) -> dict:
-        return {
-            "delta": self._delta,
-            "threshold": self._threshold,
-            "alpha": self._alpha,
-            "min_num_instances": self._min_num_instances,
-        }
-
-    def _state_dict(self) -> dict:
-        return {
-            "n": self._n,
-            "sum": self._sum,
-            "mean": self._mean,
-            "cumulative": self._cumulative,
-            "minimum": self._minimum,
-        }
-
-    def _load_state(self, state: dict) -> None:
-        self._n = int(state["n"])
-        self._sum = float(state["sum"])
-        self._mean = float(state["mean"])
-        self._cumulative = float(state["cumulative"])
-        self._minimum = float(state["minimum"])

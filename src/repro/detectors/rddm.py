@@ -52,6 +52,25 @@ class Rddm(DriftDetector):
         drift (a long warning usually means a slow gradual drift).
     """
 
+    _CONFIG = (
+        "min_num_instances",
+        "warning_level",
+        "drift_level",
+        "max_concept_size",
+        "min_stable_size",
+        "warning_limit",
+    )
+    _STATE = (
+        "n",
+        "error_sum",
+        "error_rate",
+        "p_min",
+        "s_min",
+        "ps_min",
+        "recent",
+        "warning_count",
+    )
+
     def __init__(
         self,
         min_num_instances: int = 129,
@@ -84,7 +103,10 @@ class Rddm(DriftDetector):
         self._max_concept_size = max_concept_size
         self._min_stable_size = min_stable_size
         self._warning_limit = warning_limit
-        self._recent: Deque[float] = deque(maxlen=min_stable_size)
+        self._init_state()
+
+    def _init_state(self) -> None:
+        self._recent: Deque[float] = deque(maxlen=self._min_stable_size)
         self._init_statistics()
         self._warning_count = 0
 
@@ -302,46 +324,3 @@ class Rddm(DriftDetector):
                 burst_remaining -= 1
             index += 1
         return index - position, self._segment_limit(stretch), DriftType.MEAN
-
-    def reset(self) -> None:
-        """Forget all statistics and the recent-prediction buffer."""
-        self._init_statistics()
-        self._recent.clear()
-        self._warning_count = 0
-        self._reset_counters()
-
-    # ---------------------------------------------------- snapshot / restore
-
-    def _config_dict(self) -> dict:
-        return {
-            "min_num_instances": self._min_num_instances,
-            "warning_level": self._warning_level,
-            "drift_level": self._drift_level,
-            "max_concept_size": self._max_concept_size,
-            "min_stable_size": self._min_stable_size,
-            "warning_limit": self._warning_limit,
-        }
-
-    def _state_dict(self) -> dict:
-        return {
-            "n": self._n,
-            "error_sum": self._error_sum,
-            "error_rate": self._error_rate,
-            "p_min": self._p_min,
-            "s_min": self._s_min,
-            "ps_min": self._ps_min,
-            "recent": list(self._recent),
-            "warning_count": self._warning_count,
-        }
-
-    def _load_state(self, state: dict) -> None:
-        self._n = int(state["n"])
-        self._error_sum = float(state["error_sum"])
-        self._error_rate = float(state["error_rate"])
-        self._p_min = float(state["p_min"])
-        self._s_min = float(state["s_min"])
-        self._ps_min = float(state["ps_min"])
-        self._recent = deque(
-            (float(value) for value in state["recent"]), maxlen=self._min_stable_size
-        )
-        self._warning_count = int(state["warning_count"])

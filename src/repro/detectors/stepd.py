@@ -46,6 +46,9 @@ class Stepd(DriftDetector):
         ``alpha_drift``).
     """
 
+    _CONFIG = ("window_size", "alpha_drift", "alpha_warning")
+    _STATE = ("recent", "recent_correct", "older_count", "older_correct")
+
     def __init__(
         self,
         window_size: int = 30,
@@ -207,33 +210,3 @@ class Stepd(DriftDetector):
         self._older_count = int(older_count[-1])
         self._older_correct = float(older_correct[-1])
         return count, self._segment_limit(limit * 4), DriftType.MEAN
-
-    def reset(self) -> None:
-        """Forget all statistics."""
-        self._init_state()
-        self._reset_counters()
-
-    # ---------------------------------------------------- snapshot / restore
-
-    def _config_dict(self) -> dict:
-        return {
-            "window_size": self._window_size,
-            "alpha_drift": self._alpha_drift,
-            "alpha_warning": self._alpha_warning,
-        }
-
-    def _state_dict(self) -> dict:
-        return {
-            "recent": list(self._recent),
-            "recent_correct": self._recent_correct,
-            "older_count": self._older_count,
-            "older_correct": self._older_correct,
-        }
-
-    def _load_state(self, state: dict) -> None:
-        self._recent = deque(
-            (float(value) for value in state["recent"]), maxlen=self._window_size
-        )
-        self._recent_correct = float(state["recent_correct"])
-        self._older_count = int(state["older_count"])
-        self._older_correct = float(state["older_correct"])

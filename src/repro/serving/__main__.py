@@ -38,7 +38,7 @@ from repro.obs.trace import Tracer, write_chrome_trace
 from repro.serving.hub import MonitorHub
 from repro.serving.server import Hub, ServingServer
 from repro.serving.sharded import ShardedHub
-from repro.serving.sinks import JsonlAuditSink, WebhookSink
+from repro.serving.sinks import build_sinks
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -186,22 +186,11 @@ def build_hub(args: argparse.Namespace) -> Hub:
             tracer=tracer,
             journal=journal,
         )
-    sinks = []
-    if args.audit_log:
-        sinks.append(JsonlAuditSink(args.audit_log))
-    if args.webhook:
-        sinks.append(
-            WebhookSink(
-                args.webhook,
-                dead_letter_path=args.webhook_dead_letter,
-                on_breaker_open=lambda info: journal.record(
-                    "webhook_breaker_open", **info
-                ),
-            )
-        )
     return MonitorHub(
         checkpoint_dir=args.checkpoint_dir,
-        sinks=sinks,
+        sinks=build_sinks(
+            args.audit_log, args.webhook, args.webhook_dead_letter, journal
+        ),
         checkpoint_every=args.checkpoint_every,
         wal_dir=args.wal_dir,
         wal_fsync=args.wal_fsync,

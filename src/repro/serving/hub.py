@@ -43,11 +43,9 @@ Design points:
 
 from __future__ import annotations
 
-import collections.abc
 import json
 import logging
 import numbers
-import reprlib
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -66,7 +64,7 @@ from typing import (
 
 import numpy as np
 
-from repro.core.base import BatchResult, DriftDetector
+from repro.core.base import BatchResult, DriftDetector, as_value_array
 from repro.core.config import grid_config_hash
 from repro.exceptions import ConfigurationError, SnapshotError
 from repro.obs.journal import EventJournal
@@ -177,32 +175,19 @@ class _MonitorEntry:
 def _checked_values(key: _MonitorKey, payload: Any) -> Union[float, "np.ndarray"]:
     """One payload as a float (a real scalar) or a 1-d float64 chunk.
 
-    Scalars are anything :class:`numbers.Real` plus ``np.bool_`` (which
-    registers in no ``numbers`` ABC); they stay Python floats so that runs
-    of scalar events coalesce into one array.  Anything else must be a flat
-    array-like of booleans, integers or floats: a string (numeric ones such
-    as ``"1"`` or ``"NaN"`` included), a mapping, ``None`` (bare or in a
-    list), or a nested or ragged list raises :class:`ConfigurationError`
-    naming the monitor.
+    Scalars stay Python floats so that runs of scalar events coalesce into
+    one array.  Anything else goes through
+    :func:`~repro.core.base.as_value_array`, the input rule of every
+    detector's ``update_batch``; a payload it refuses (a string, a mapping,
+    ``None`` bare or in a list, a nested or ragged list) raises
+    :class:`ConfigurationError` naming the monitor.
     """
     if isinstance(payload, (numbers.Real, np.bool_)):
         return float(payload)
-    if isinstance(payload, collections.abc.Iterator):
-        payload = list(payload)  # a generator, which np.asarray would not unpack
     try:
-        # No dtype: numpy would parse numeric strings into floats.  The kind
-        # it infers tells plain numbers from anything else.
-        values = np.asarray(payload)
-    except (TypeError, ValueError):  # a ragged list
-        pass
-    else:
-        if values.ndim <= 1 and values.dtype.kind in "biuf":
-            # ascontiguousarray returns a 0-d array as a one-element chunk.
-            return np.ascontiguousarray(values, dtype=np.float64)
-    raise ConfigurationError(
-        f"monitor {key[0]}/{key[1]}: values must be a number or a flat list "
-        f"of numbers, got {reprlib.repr(payload)}"
-    )
+        return as_value_array(payload)
+    except TypeError as exc:
+        raise ConfigurationError(f"monitor {key[0]}/{key[1]}: {exc}") from None
 
 
 def _coalesce(parts: List[Union[float, "np.ndarray"]]) -> "np.ndarray":

@@ -79,7 +79,7 @@ from repro.exceptions import ConfigurationError, ShardError, SnapshotError
 from repro.obs.journal import EventJournal, check_limit
 from repro.obs.trace import TraceContext, Tracer
 from repro.serving.hub import Event, MonitorHub, ObserveResult, checked_chunk
-from repro.serving.sinks import AlertSink, DriftAlert, JsonlAuditSink, WebhookSink
+from repro.serving.sinks import DriftAlert, build_sinks
 from repro.serving.snapshot import atomic_write_json
 from repro.serving.wal import read_wal_head
 
@@ -315,22 +315,9 @@ def _shard_worker_main(
         # Sinks are built *before* the hub so the resume-time WAL replay
         # re-delivers the post-checkpoint alert tail into them (and into the
         # hub's alert buffer the ``alerts`` op drains).
-        sinks: List[AlertSink] = []
-        if audit_log is not None:
-            sinks.append(JsonlAuditSink(audit_log))
-        if webhook is not None:
-            sinks.append(
-                WebhookSink(
-                    webhook,
-                    dead_letter_path=webhook_dead_letter,
-                    on_breaker_open=lambda info: journal.record(
-                        "webhook_breaker_open", **info
-                    ),
-                )
-            )
         hub = MonitorHub(
             checkpoint_dir=checkpoint_dir,
-            sinks=sinks,
+            sinks=build_sinks(audit_log, webhook, webhook_dead_letter, journal),
             checkpoint_every=checkpoint_every,
             resume=resume,
             wal_dir=wal_dir,

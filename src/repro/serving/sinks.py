@@ -43,6 +43,8 @@ from collections import deque
 from dataclasses import asdict, dataclass
 from typing import Any, Callable, Deque, Dict, List, Mapping, NamedTuple, Optional
 
+from repro.obs.journal import EventJournal
+
 __all__ = [
     "DriftAlert",
     "AlertSink",
@@ -536,3 +538,32 @@ class WebhookSink(AlertSink):
             if self._dead_letter_handle is not None:
                 self._dead_letter_handle.close()
                 self._dead_letter_handle = None
+
+
+def build_sinks(
+    audit_log: Optional[str],
+    webhook: Optional[str],
+    webhook_dead_letter: Optional[str],
+    journal: EventJournal,
+) -> List[AlertSink]:
+    """The sinks of a served hub: an audit log and a webhook, each when set.
+
+    Shared by the single hub of ``python -m repro.serving`` and by every
+    shard worker (whose paths carry a per-shard suffix).  A webhook whose
+    circuit breaker opens records a ``webhook_breaker_open`` event in
+    ``journal``.
+    """
+    sinks: List[AlertSink] = []
+    if audit_log:
+        sinks.append(JsonlAuditSink(audit_log))
+    if webhook:
+        sinks.append(
+            WebhookSink(
+                webhook,
+                dead_letter_path=webhook_dead_letter,
+                on_breaker_open=lambda info: journal.record(
+                    "webhook_breaker_open", **info
+                ),
+            )
+        )
+    return sinks

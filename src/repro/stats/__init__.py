@@ -2,8 +2,7 @@
 
 The sub-modules are deliberately small and self-contained:
 
-* :mod:`repro.stats.circular_buffer` — bounded O(1) FIFO buffer.
-* :mod:`repro.stats.incremental` — Welford / windowed / prefix statistics.
+* :mod:`repro.stats.incremental` — prefix statistics over a sliding window.
 * :mod:`repro.stats.distributions` — t and F probability point functions.
 * :mod:`repro.stats.welch` — Welch unequal-variance t-test.
 * :mod:`repro.stats.ftest` — one-sided F-test for variances.
@@ -12,11 +11,10 @@ The sub-modules are deliberately small and self-contained:
 * :mod:`repro.stats.wilcoxon` — one-tailed Wilcoxon signed-rank test.
 """
 
-from repro.stats.circular_buffer import CircularBuffer
 from repro.stats.distributions import f_cdf, f_ppf, normal_cdf, normal_ppf, t_cdf, t_ppf
 from repro.stats.ewma import EwmaEstimator, ecdd_control_limit
 from repro.stats.ftest import FTestResult, f_statistic, f_test
-from repro.stats.incremental import PrefixStats, RunningStats, WindowedStats
+from repro.stats.incremental import PrefixStats
 from repro.stats.proportions import ProportionTestResult, equal_proportions_test
 from repro.stats.welch import (
     WelchResult,
@@ -27,9 +25,6 @@ from repro.stats.welch import (
 from repro.stats.wilcoxon import WilcoxonResult, wilcoxon_signed_rank
 
 __all__ = [
-    "CircularBuffer",
-    "RunningStats",
-    "WindowedStats",
     "PrefixStats",
     "t_ppf",
     "f_ppf",

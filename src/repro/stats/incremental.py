@@ -2,35 +2,28 @@
 
 The OPTWIN paper (Section 3.4) points out that the means and standard
 deviations of the two sub-windows do not need to be recomputed from scratch at
-every step: they can be maintained incrementally.  This module provides three
-flavours of incremental statistics:
-
-``RunningStats``
-    Classic Welford accumulator; supports only additions.  Used by detectors
-    such as DDM/EDDM that never remove observations between resets.
-
-``WindowedStats``
-    Sum/sum-of-squares accumulator that supports both additions and removals,
-    which is what a sliding window needs.
+every step: they can be maintained incrementally.
 
 ``PrefixStats``
     Prefix sums over a sliding window so that the mean/variance of *any*
     contiguous sub-window can be answered in O(1).  OPTWIN uses this to get the
     statistics of ``W_hist`` and ``W_new`` at the optimal cut without scanning.
+
+``seeded_segment_means``
+    Running means of a chunk continuing from a prior sum and count, shared
+    by the batched paths of the detectors that keep a running mean.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Iterable, List, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
 from repro.exceptions import NotEnoughDataError, SnapshotError
 
 __all__ = [
-    "RunningStats",
-    "WindowedStats",
     "PrefixStats",
     "seeded_segment_means",
 ]
@@ -57,174 +50,15 @@ def seeded_segment_means(
     return sums, counts, sums / counts
 
 
-class RunningStats:
-    """Welford's online algorithm for mean and variance (additions only).
-
-    Numerically stable even for long streams of nearly identical values.
-
-    Examples
-    --------
-    >>> rs = RunningStats()
-    >>> for x in [1.0, 2.0, 3.0]:
-    ...     rs.update(x)
-    >>> rs.mean
-    2.0
-    >>> round(rs.variance, 6)
-    1.0
-    """
-
-    __slots__ = ("_count", "_mean", "_m2")
-
-    def __init__(self) -> None:
-        self._count = 0
-        self._mean = 0.0
-        self._m2 = 0.0
-
-    def update(self, value: float) -> None:
-        """Fold ``value`` into the running statistics."""
-        self._count += 1
-        delta = value - self._mean
-        self._mean += delta / self._count
-        self._m2 += delta * (value - self._mean)
-
-    def update_many(self, values: Iterable[float]) -> None:
-        """Fold every value from ``values`` into the running statistics."""
-        for value in values:
-            self.update(value)
-
-    def reset(self) -> None:
-        """Forget all observations."""
-        self._count = 0
-        self._mean = 0.0
-        self._m2 = 0.0
-
-    @property
-    def count(self) -> int:
-        """Number of observations folded in so far."""
-        return self._count
-
-    @property
-    def mean(self) -> float:
-        """Sample mean (0.0 when no observations were seen)."""
-        return self._mean if self._count else 0.0
-
-    @property
-    def variance(self) -> float:
-        """Unbiased sample variance (0.0 with fewer than two observations)."""
-        if self._count < 2:
-            return 0.0
-        return self._m2 / (self._count - 1)
-
-    @property
-    def population_variance(self) -> float:
-        """Population (biased) variance."""
-        if self._count < 1:
-            return 0.0
-        return self._m2 / self._count
-
-    @property
-    def std(self) -> float:
-        """Unbiased sample standard deviation."""
-        return math.sqrt(max(self.variance, 0.0))
-
-    @property
-    def population_std(self) -> float:
-        """Population standard deviation."""
-        return math.sqrt(max(self.population_variance, 0.0))
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"RunningStats(count={self._count}, mean={self.mean:.6g}, "
-            f"std={self.std:.6g})"
-        )
-
-
-class WindowedStats:
-    """Mean/variance over a multiset supporting additions *and* removals.
-
-    Maintains the sum and sum of squares; removal is exact because the value
-    being removed is supplied by the caller (sliding windows always know which
-    element leaves).  A periodic exact recomputation is unnecessary for the
-    magnitudes handled here (error rates in ``[0, 1]`` or bounded losses), but
-    the accumulator clamps tiny negative variances caused by rounding.
-    """
-
-    __slots__ = ("_count", "_sum", "_sum_sq")
-
-    def __init__(self) -> None:
-        self._count = 0
-        self._sum = 0.0
-        self._sum_sq = 0.0
-
-    def add(self, value: float) -> None:
-        """Add one observation."""
-        self._count += 1
-        self._sum += value
-        self._sum_sq += value * value
-
-    def remove(self, value: float) -> None:
-        """Remove one previously added observation."""
-        if self._count == 0:
-            raise NotEnoughDataError("remove from an empty WindowedStats")
-        self._count -= 1
-        self._sum -= value
-        self._sum_sq -= value * value
-        if self._count == 0:
-            self._sum = 0.0
-            self._sum_sq = 0.0
-
-    def reset(self) -> None:
-        """Forget all observations."""
-        self._count = 0
-        self._sum = 0.0
-        self._sum_sq = 0.0
-
-    @property
-    def count(self) -> int:
-        """Number of observations currently accounted for."""
-        return self._count
-
-    @property
-    def total(self) -> float:
-        """Sum of the observations currently accounted for."""
-        return self._sum
-
-    @property
-    def mean(self) -> float:
-        """Sample mean (0.0 when empty)."""
-        return self._sum / self._count if self._count else 0.0
-
-    @property
-    def variance(self) -> float:
-        """Unbiased sample variance (0.0 with fewer than two observations)."""
-        if self._count < 2:
-            return 0.0
-        mean = self._sum / self._count
-        raw = (self._sum_sq - self._count * mean * mean) / (self._count - 1)
-        return max(raw, 0.0)
-
-    @property
-    def std(self) -> float:
-        """Unbiased sample standard deviation."""
-        return math.sqrt(self.variance)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"WindowedStats(count={self._count}, mean={self.mean:.6g}, "
-            f"std={self.std:.6g})"
-        )
-
-
 class PrefixStats:
     """Prefix sums over an ordered window for O(1) sub-window statistics.
 
-    The window follows the pre-allocated numpy storage idiom of
-    :class:`repro.stats.circular_buffer.CircularBuffer`: values and their two
-    prefix-sum arrays (values and squared values) live in flat ``float64``
-    arrays anchored at a dead-prefix offset, so appends write in place,
-    dropping elements from the front just moves the offset, and memory is
-    compacted only occasionally by slicing-and-rebasing the existing prefix
-    arrays (no per-element recomputation, no list churn).
+    Values and their two prefix-sum arrays (values and squared values) live
+    in pre-allocated flat ``float64`` arrays anchored at a dead-prefix
+    offset, so appends write in place, dropping elements from the front just
+    moves the offset, and memory is compacted only occasionally by
+    slicing-and-rebasing the existing prefix arrays (no per-element
+    recomputation, no list churn).
 
     ``mean(i, j)`` and ``variance(i, j)`` answer queries over the *logical*
     half-open range ``[i, j)`` of the current window.  :meth:`append_many`

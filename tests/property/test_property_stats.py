@@ -7,57 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.stats.circular_buffer import CircularBuffer
 from repro.stats.distributions import f_cdf, f_ppf, t_cdf, t_ppf
 from repro.stats.ftest import f_statistic
-from repro.stats.incremental import PrefixStats, RunningStats, WindowedStats
+from repro.stats.incremental import PrefixStats
 from repro.stats.welch import welch_degrees_of_freedom, welch_statistic
-
-floats_list = st.lists(
-    st.floats(min_value=-100.0, max_value=100.0, allow_nan=False), min_size=1, max_size=200
-)
-
-
-class TestRunningStatsProperties:
-    @given(values=floats_list)
-    @settings(max_examples=60, deadline=None)
-    def test_matches_numpy(self, values):
-        stats = RunningStats()
-        stats.update_many(values)
-        assert stats.mean == pytest.approx(np.mean(values), rel=1e-7, abs=1e-7)
-        if len(values) >= 2:
-            assert stats.variance == pytest.approx(
-                np.var(values, ddof=1), rel=1e-6, abs=1e-6
-            )
-        assert stats.variance >= 0.0
-
-    @given(values=floats_list, scale=st.floats(min_value=0.1, max_value=10.0))
-    @settings(max_examples=40, deadline=None)
-    def test_scaling_property(self, values, scale):
-        plain = RunningStats()
-        scaled = RunningStats()
-        plain.update_many(values)
-        scaled.update_many([v * scale for v in values])
-        assert scaled.mean == pytest.approx(plain.mean * scale, rel=1e-6, abs=1e-6)
-        assert scaled.std == pytest.approx(plain.std * scale, rel=1e-5, abs=1e-6)
-
-
-class TestWindowedStatsProperties:
-    @given(values=st.lists(st.floats(min_value=-50, max_value=50, allow_nan=False),
-                           min_size=3, max_size=100),
-           n_remove=st.integers(min_value=0, max_value=50))
-    @settings(max_examples=60, deadline=None)
-    def test_add_then_remove_prefix(self, values, n_remove):
-        n_remove = min(n_remove, len(values) - 1)
-        stats = WindowedStats()
-        for value in values:
-            stats.add(value)
-        for value in values[:n_remove]:
-            stats.remove(value)
-        remaining = values[n_remove:]
-        assert stats.count == len(remaining)
-        assert stats.mean == pytest.approx(np.mean(remaining), rel=1e-6, abs=1e-6)
-        assert stats.variance >= 0.0
 
 
 class TestPrefixStatsProperties:
@@ -78,34 +31,6 @@ class TestPrefixStatsProperties:
         assert prefix.variance(start, stop) == pytest.approx(
             np.var(segment, ddof=1), rel=1e-5, abs=1e-7
         )
-
-
-class TestCircularBufferProperties:
-    @given(
-        capacity=st.integers(min_value=1, max_value=30),
-        operations=st.lists(
-            st.one_of(
-                st.tuples(st.just("append"), st.floats(-10, 10, allow_nan=False)),
-                st.tuples(st.just("pop"), st.just(0.0)),
-            ),
-            max_size=200,
-        ),
-    )
-    @settings(max_examples=60, deadline=None)
-    def test_behaves_like_a_deque(self, capacity, operations):
-        from collections import deque
-
-        buffer = CircularBuffer(capacity)
-        reference = deque()
-        for operation, value in operations:
-            if operation == "append":
-                if len(reference) < capacity:
-                    buffer.append(value)
-                    reference.append(value)
-            else:
-                if reference:
-                    assert buffer.popleft() == reference.popleft()
-        assert buffer.to_list() == list(reference)
 
 
 class TestTestStatisticProperties:

@@ -1,8 +1,10 @@
 """Unit tests for the shared detector interface (:mod:`repro.core.base`)."""
 
+import numpy as np
 import pytest
 
 from repro.core.base import DetectionResult, DriftDetector, DriftType
+from repro.detectors import exported_detector_classes
 
 
 class _EveryNth(DriftDetector):
@@ -98,3 +100,47 @@ def test_drift_type_enum_values():
     assert DriftType.MEAN.value == "mean"
     assert DriftType.VARIANCE.value == "variance"
     assert DriftType.DISTRIBUTION.value == "distribution"
+
+
+# ------------------------------------------------- one input rule, two paths
+
+#: Accepted chunks and how many values each holds.
+_ACCEPTED = [
+    pytest.param(lambda: 1.0, 1, id="float"),
+    pytest.param(lambda: np.float32(1), 1, id="np.float32"),
+    pytest.param(lambda: np.array(1.0), 1, id="0-d-array"),
+    pytest.param(lambda: (value for value in [0.0, 1.0, 0.0]), 3, id="generator"),
+]
+_REFUSED = [
+    pytest.param([0.0, None], id="none-in-list"),
+    pytest.param(["1"], id="numeric-string-in-list"),
+    pytest.param("1", id="numeric-string"),
+    pytest.param(["nan"], id="nan-string-in-list"),
+    pytest.param([[0.0, 1.0]], id="nested-list"),
+    pytest.param(np.ones((2, 2)), id="2-d-array"),
+    pytest.param({"a": 1}, id="mapping"),
+]
+
+
+@pytest.mark.parametrize("cls", exported_detector_classes(), ids=lambda c: c.__name__)
+@pytest.mark.parametrize("collect_stats", [False, True])
+@pytest.mark.parametrize("make, count", _ACCEPTED)
+def test_update_batch_accepts_the_same_inputs_on_both_paths(
+    cls, collect_stats, make, count
+):
+    detector = cls()
+    result = detector.update_batch(make(), collect_stats=collect_stats)
+    assert result.n_processed == count
+    assert detector.n_seen == count
+
+
+@pytest.mark.parametrize("cls", exported_detector_classes(), ids=lambda c: c.__name__)
+@pytest.mark.parametrize("collect_stats", [False, True])
+@pytest.mark.parametrize("values", _REFUSED)
+def test_update_batch_refuses_the_same_inputs_on_both_paths(
+    cls, collect_stats, values
+):
+    detector = cls()
+    with pytest.raises(TypeError, match="values must be a number or a flat list"):
+        detector.update_batch(values, collect_stats=collect_stats)
+    assert detector.n_seen == 0

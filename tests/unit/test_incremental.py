@@ -4,92 +4,7 @@ import numpy as np
 import pytest
 
 from repro.exceptions import NotEnoughDataError
-from repro.stats.incremental import PrefixStats, RunningStats, WindowedStats
-
-
-class TestRunningStats:
-    def test_empty(self):
-        stats = RunningStats()
-        assert stats.count == 0
-        assert stats.mean == 0.0
-        assert stats.variance == 0.0
-        assert stats.std == 0.0
-
-    def test_matches_numpy(self):
-        values = [0.3, 0.7, 0.1, 0.9, 0.4, 0.4, 0.6]
-        stats = RunningStats()
-        stats.update_many(values)
-        assert stats.count == len(values)
-        assert stats.mean == pytest.approx(np.mean(values))
-        assert stats.variance == pytest.approx(np.var(values, ddof=1))
-        assert stats.std == pytest.approx(np.std(values, ddof=1))
-
-    def test_population_variance(self):
-        values = [1.0, 2.0, 3.0, 4.0]
-        stats = RunningStats()
-        stats.update_many(values)
-        assert stats.population_variance == pytest.approx(np.var(values))
-        assert stats.population_std == pytest.approx(np.std(values))
-
-    def test_single_value(self):
-        stats = RunningStats()
-        stats.update(5.0)
-        assert stats.mean == 5.0
-        assert stats.variance == 0.0
-
-    def test_reset(self):
-        stats = RunningStats()
-        stats.update_many([1.0, 2.0])
-        stats.reset()
-        assert stats.count == 0
-        assert stats.mean == 0.0
-
-    def test_numerical_stability_constant_stream(self):
-        stats = RunningStats()
-        stats.update_many([1e9 + 0.1] * 10_000)
-        assert stats.variance == pytest.approx(0.0, abs=1e-6)
-
-
-class TestWindowedStats:
-    def test_add_remove_matches_numpy(self):
-        stats = WindowedStats()
-        values = [0.2, 0.8, 0.5, 0.1, 0.9]
-        for value in values:
-            stats.add(value)
-        stats.remove(values[0])
-        stats.remove(values[1])
-        remaining = values[2:]
-        assert stats.count == 3
-        assert stats.mean == pytest.approx(np.mean(remaining))
-        assert stats.variance == pytest.approx(np.var(remaining, ddof=1))
-
-    def test_remove_to_empty(self):
-        stats = WindowedStats()
-        stats.add(3.0)
-        stats.remove(3.0)
-        assert stats.count == 0
-        assert stats.mean == 0.0
-        assert stats.variance == 0.0
-
-    def test_remove_from_empty_raises(self):
-        stats = WindowedStats()
-        with pytest.raises(NotEnoughDataError):
-            stats.remove(1.0)
-
-    def test_variance_never_negative(self):
-        stats = WindowedStats()
-        for _ in range(1000):
-            stats.add(0.1)
-        for _ in range(999):
-            stats.remove(0.1)
-        assert stats.variance >= 0.0
-
-    def test_reset(self):
-        stats = WindowedStats()
-        stats.add(1.0)
-        stats.reset()
-        assert stats.count == 0
-        assert stats.total == 0.0
+from repro.stats.incremental import PrefixStats
 
 
 class TestPrefixStats:

@@ -92,6 +92,28 @@ def test_roundtrip_bit_exact_batch_mode(cls, offset):
     assert _counters(resumed) == _counters(uninterrupted)
 
 
+def _leaf_types(payload):
+    """``payload`` with every leaf replaced by its Python type."""
+    if isinstance(payload, dict):
+        return {key: _leaf_types(value) for key, value in payload.items()}
+    if isinstance(payload, list):
+        return [_leaf_types(value) for value in payload]
+    return type(payload)
+
+
+@pytest.mark.parametrize("cls", DETECTOR_CLASSES, ids=lambda c: c.__name__)
+@pytest.mark.parametrize("offset", _OFFSETS)
+def test_restore_gives_back_the_same_snapshot(cls, offset):
+    """A restored detector snapshots to the same canonical JSON bytes, and
+    every ``state_dict()`` leaf keeps its Python type (equal detections
+    alone would let an ``int`` field come back as a ``float``)."""
+    detector = cls()
+    detector.update_batch(_stream_values()[:offset])
+    restored = restore_detector(_json_roundtrip(snapshot_detector(detector)))
+    assert snapshot_json(restored) == snapshot_json(detector)
+    assert _leaf_types(restored.state_dict()) == _leaf_types(detector.state_dict())
+
+
 @pytest.mark.parametrize("cls", DETECTOR_CLASSES, ids=lambda c: c.__name__)
 def test_roundtrip_bit_exact_scalar_mode(cls):
     values = _stream_values()[:900]

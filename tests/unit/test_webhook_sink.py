@@ -17,8 +17,15 @@ import time
 import pytest
 
 from repro.exceptions import ConfigurationError
+from repro.obs.journal import EventJournal
 from repro.serving.hub import MonitorHub
-from repro.serving.sinks import DriftAlert, QueueSink, WebhookSink
+from repro.serving.sinks import (
+    DriftAlert,
+    JsonlAuditSink,
+    QueueSink,
+    WebhookSink,
+    build_sinks,
+)
 
 
 def _alert(seq: int = 1) -> DriftAlert:
@@ -266,3 +273,24 @@ def test_configuration_validation():
         WebhookSink("http://x", breaker_threshold=0)
     with pytest.raises(ConfigurationError):
         WebhookSink("http://x", queue_size=0)
+
+
+def test_build_sinks_wires_audit_log_webhook_and_breaker_journal(tmp_path):
+    journal = EventJournal(capacity=8)
+    assert build_sinks(None, None, None, journal) == []
+    audit_path = str(tmp_path / "audit.jsonl")
+    sinks = build_sinks(
+        audit_path, "http://127.0.0.1:9/hook", str(tmp_path / "dead.jsonl"), journal
+    )
+    try:
+        audit, webhook = sinks
+        assert isinstance(audit, JsonlAuditSink) and audit.path == audit_path
+        assert isinstance(webhook, WebhookSink)
+        assert webhook.stats()["url"] == "http://127.0.0.1:9/hook"
+        # The breaker callback the worker thread fires lands in the journal.
+        webhook._on_breaker_open({"url": "u", "consecutive_failures": 5})
+        (event,) = journal.events(kind="webhook_breaker_open")
+        assert event["consecutive_failures"] == 5
+    finally:
+        for sink in sinks:
+            sink.close()
