@@ -19,6 +19,7 @@ callers that prefer the River-style property API.
 from __future__ import annotations
 
 import abc
+import array
 import collections.abc
 import numbers
 import reprlib
@@ -38,6 +39,21 @@ from repro.exceptions import SnapshotError
 SNAPSHOT_SCHEMA_VERSION = 1
 
 
+def _as_value(value: Any) -> float:
+    """One monitored value as a float (the input rule of
+    :meth:`DriftDetector.update`): the scalar half of :func:`as_value_array`'s
+    rule, plus a 0-d array numpy reads as booleans, integers or floats.
+    Anything else, numeric strings included, raises :class:`TypeError`
+    naming it."""
+    if isinstance(value, (numbers.Real, np.bool_)) or (
+        isinstance(value, np.ndarray)
+        and value.ndim == 0
+        and value.dtype.kind in "biuf"
+    ):
+        return float(value)
+    raise TypeError(f"value must be a number, got {reprlib.repr(value)}")
+
+
 def as_value_array(values: Any) -> "np.ndarray":
     """Coerce monitored values into a contiguous 1-d float64 vector.
 
@@ -45,29 +61,46 @@ def as_value_array(values: Any) -> "np.ndarray":
     of its paths) and of the hubs' payload check.  A real scalar — anything
     :class:`numbers.Real`, which includes numpy scalars such as
     ``np.float32``, plus ``np.bool_``, which registers in no ``numbers``
-    ABC — is one value.  A flat (at most 1-d) array-like whose items numpy
-    reads as booleans, integers or floats converts to float64; an iterator
-    is listed first.  Anything else — a string (numeric ones such as ``"1"``
-    or ``"nan"`` included), a mapping, ``None`` (bare or in a list), or a
-    nested or ragged list — raises :class:`TypeError`.
+    ABC — is one value.  A list (an iterator is listed first) converts in
+    one pass, each item as :func:`float` reads a number, never a string;
+    any other flat (at most 1-d) array-like whose items numpy reads as
+    booleans, integers or floats converts to float64.  Anything else — a
+    string (numeric ones such as ``"1"`` or ``"nan"`` included), a mapping,
+    ``None`` (bare or in a list), or a nested or ragged list — raises
+    :class:`TypeError`.
+
+    On what a JSON decoder returns (floats, integers that fit 64 bits,
+    booleans, ``None``, strings, lists, dicts) the list rule accepts
+    exactly the lists numpy reads as booleans, integers or floats, with the
+    same float64 values.  It also converts items numpy reads as objects:
+    ``Decimal``, ``Fraction``, integers beyond 64 bits, anything with
+    ``__float__`` or ``__index__`` (a numpy complex scalar gives its real
+    part, with numpy's ``ComplexWarning``).
     """
     if isinstance(values, np.ndarray) and values.ndim == 1:
         if values.dtype == np.float64:
             return np.ascontiguousarray(values)
-    if isinstance(values, (numbers.Real, np.bool_)):
+    elif isinstance(values, (numbers.Real, np.bool_)):
         return np.array([float(values)], dtype=np.float64)
-    if isinstance(values, collections.abc.Iterator):
+    elif isinstance(values, collections.abc.Iterator):
         values = list(values)  # a generator, which np.asarray would not unpack
+    if isinstance(values, list):
+        try:
+            # array.array reads each item as a C double in one pass; numpy
+            # would first walk the list to discover a dtype.
+            return np.frombuffer(array.array("d", values), dtype=np.float64)
+        except (TypeError, ValueError, OverflowError):
+            pass  # numpy decides below, and words any refusal
     try:
         # No dtype: numpy would parse numeric strings into floats.  The kind
         # it infers tells plain numbers from anything else.
-        array = np.asarray(values)
+        read = np.asarray(values)
     except (TypeError, ValueError):  # a ragged list
         pass
     else:
-        if array.ndim <= 1 and array.dtype.kind in "biuf":
+        if read.ndim <= 1 and read.dtype.kind in "biuf":
             # ascontiguousarray returns a 0-d array as a one-element vector.
-            return np.ascontiguousarray(array, dtype=np.float64)
+            return np.ascontiguousarray(read, dtype=np.float64)
     raise TypeError(
         "values must be a number or a flat list of numbers, "
         f"got {reprlib.repr(values)}"
@@ -260,9 +293,17 @@ class DriftDetector(abc.ABC):
     # ------------------------------------------------------------------ API
 
     def update(self, value: float) -> DetectionResult:
-        """Feed one monitored value and return the detection outcome."""
+        """Feed one monitored value and return the detection outcome.
+
+        ``value`` must be one number — a :class:`numbers.Real`, an
+        ``np.bool_`` or a 0-d numeric array, as :func:`as_value_array`
+        takes a scalar; anything else, numeric strings included, raises
+        :class:`TypeError` before the detector counts or sees it.
+        """
+        # Builtin numbers (np.float64 is a float) skip the ABC checks.
+        value = float(value) if isinstance(value, (float, int)) else _as_value(value)
         self._n_seen += 1
-        result = self._update_one(float(value))
+        result = self._update_one(value)
         self._last_result = result
         if result.drift_detected:
             self._n_drifts += 1

@@ -62,6 +62,7 @@ from typing import Any, Dict, Optional, Union
 import numpy as np
 import orjson
 
+from repro.core.base import as_value_array
 from repro.exceptions import ReproError
 from repro.obs.prom import hub_exposition
 from repro.obs.trace import chrome_trace, write_chrome_trace
@@ -369,8 +370,13 @@ class ServingServer:
         parallelism over the wire: the hub fans the batch out as one message
         per shard and the workers flush concurrently, where per-monitor
         ``observe`` requests serialize on the event loop.
+
+        The decoded ``events`` leave the request before the hub runs: the
+        payloads are arrays by then, and no decoded list of floats stays
+        alive for the garbage collector to walk while detectors allocate.
         """
         events = _op_ingest_events(request.get("events"))
+        del request["events"]
         span = self._hub.tracer.begin("server.ingest", n_events=len(events))
         try:
             results = self._hub.ingest(
@@ -438,6 +444,11 @@ def _nests_too_deep(line: bytes) -> bool:
 
 
 def _op_ingest_events(raw: Any) -> list:
+    """The ``(tenant, monitor, payload)`` events of an ``ingest`` request.
+
+    A list payload becomes a float64 array here, once; one that does not
+    convert passes on as decoded, for the hub to refuse in its own words.
+    """
     if not isinstance(raw, list) or not raw:
         raise ReproError("ingest needs a non-empty events list")
     events = []
@@ -446,7 +457,13 @@ def _op_ingest_events(raw: Any) -> list:
             raise ReproError(
                 "each ingest event must be a [tenant, monitor, values] triple"
             )
-        events.append((str(item[0]), str(item[1]), item[2]))
+        payload = item[2]
+        if isinstance(payload, list):
+            try:
+                payload = as_value_array(payload)
+            except TypeError:
+                pass
+        events.append((str(item[0]), str(item[1]), payload))
     return events
 
 

@@ -1046,26 +1046,21 @@ class ShardedHub:
     def _ingest_message(
         self,
         index: int,
-        shard_events: List[Event],
+        shard_events: List[Tuple[str, str, "np.ndarray"]],
         ctx: Optional[TraceContext] = None,
     ) -> Tuple[str, Tuple[Any, ...]]:
-        """Stage one shard's batch in shared memory; descriptor message.
+        """Stage one shard's converted batch in shared memory; descriptor
+        message.
 
-        Payload conversion errors (a :class:`ConfigurationError` naming the
-        monitor) and a failed segment growth raise here, before any message
-        has touched a pipe.
+        A failed segment growth raises here, before any message has touched
+        a pipe.
         """
-        converted: List[Tuple[str, str, "np.ndarray"]] = []
-        total = 0
-        for tenant, monitor_id, payload in shard_events:
-            values = checked_chunk((tenant, monitor_id), payload)
-            converted.append((tenant, monitor_id, values))
-            total += values.shape[0]
+        total = sum(values.shape[0] for _, _, values in shard_events)
         block = self._shm_block(index, total * 8)
         staged = np.ndarray((total,), dtype=np.float64, buffer=block.buf)
         entries: List[Tuple[str, str, int, int]] = []
         offset = 0
-        for tenant, monitor_id, values in converted:
+        for tenant, monitor_id, values in shard_events:
             length = values.shape[0]
             staged[offset : offset + length] = values
             entries.append((tenant, monitor_id, offset, length))
@@ -1207,8 +1202,10 @@ class ShardedHub:
 
         Each shard's values are staged in its shared-memory segment and only
         ``(segment, offsets)`` descriptors cross the pipe; the worker reads
-        the floats zero-copy.  Payloads the float conversion rejects raise
-        here, before anything is sent.
+        the floats zero-copy.  Events are checked in order, as
+        :meth:`MonitorHub.ingest` checks them: the first unknown monitor or
+        payload the float conversion rejects raises, before anything is
+        sent.
 
         When the parent tracer samples this batch (or ``trace_ctx`` hands an
         already-open trace down), the span's context rides every shard's
@@ -1217,10 +1214,12 @@ class ShardedHub:
         """
         span = self._tracer.begin("hub.fan_out", trace_ctx)
         try:
-            per_shard: Dict[int, List[Event]] = {}
+            per_shard: Dict[int, List[Tuple[str, str, "np.ndarray"]]] = {}
             for tenant, monitor_id, payload in events:
                 key, shard = self._shard_for(tenant, monitor_id)
-                per_shard.setdefault(shard, []).append((key[0], key[1], payload))
+                per_shard.setdefault(shard, []).append(
+                    (key[0], key[1], checked_chunk(key, payload))
+                )
             if not per_shard:
                 return []
             ctx = span.context() if span is not None else None

@@ -41,7 +41,7 @@ import time
 import urllib.request
 from collections import deque
 from dataclasses import asdict, dataclass
-from typing import Any, Callable, Deque, Dict, List, Mapping, NamedTuple, Optional
+from typing import Any, Callable, Deque, Dict, List, Mapping, NamedTuple, Optional, Tuple
 
 from repro.obs.journal import EventJournal
 
@@ -171,10 +171,16 @@ class QueueSink(AlertSink):
     preceded a crash, *not* losses.  An operator watching the two counters
     can distinguish "my consumer is too slow" from "the hub restarted and
     replayed its log".
+
+    Each alert is buffered as a plain tuple of its fields, which the garbage
+    collector stops tracking after one pass (it never untracks a
+    :class:`DriftAlert`, a tuple subclass); :meth:`drain` rebuilds the
+    alerts.  A full buffer is thousands of entries that every collection of
+    the oldest generation would otherwise walk.
     """
 
     def __init__(self, maxlen: Optional[int] = None) -> None:
-        self._alerts: Deque[DriftAlert] = deque(maxlen=maxlen)
+        self._alerts: Deque[Tuple[Any, ...]] = deque(maxlen=maxlen)
         self._n_dropped = 0
         self._n_redelivered = 0
 
@@ -186,7 +192,7 @@ class QueueSink(AlertSink):
             and len(self._alerts) == self._alerts.maxlen
         ):
             self._n_dropped += 1
-        self._alerts.append(alert)
+        self._alerts.append(tuple(alert))
 
     def __len__(self) -> int:
         return len(self._alerts)
@@ -207,7 +213,7 @@ class QueueSink(AlertSink):
         Counters survive the drain: :attr:`n_dropped` and
         :attr:`n_redelivered` are lifetime totals, not per-drain ones.
         """
-        drained = list(self._alerts)
+        drained = [DriftAlert._make(fields) for fields in self._alerts]
         self._alerts.clear()
         return drained
 

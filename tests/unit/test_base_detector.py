@@ -144,3 +144,39 @@ def test_update_batch_refuses_the_same_inputs_on_both_paths(
     with pytest.raises(TypeError, match="values must be a number or a flat list"):
         detector.update_batch(values, collect_stats=collect_stats)
     assert detector.n_seen == 0
+
+
+# ------------------------------------------- update() converts, then counts
+
+_ONE_VALUE = [
+    pytest.param(1.0, id="float"),
+    pytest.param(np.float32(1), id="np.float32"),
+    pytest.param(True, id="bool"),
+    pytest.param(np.array(1.0), id="0-d-array"),
+]
+_NOT_ONE_VALUE = [
+    pytest.param(None, id="none"),
+    pytest.param("x", id="string"),
+    pytest.param("1", id="numeric-string"),
+    pytest.param([1.0], id="list"),
+    pytest.param(np.array([1.0]), id="1-d-array"),
+    pytest.param(np.array("1"), id="0-d-string-array"),
+]
+
+
+@pytest.mark.parametrize("cls", exported_detector_classes(), ids=lambda c: c.__name__)
+@pytest.mark.parametrize("value", _ONE_VALUE)
+def test_update_counts_one_number_once(cls, value):
+    detector = cls()
+    detector.update(value)
+    assert detector.n_seen == 1
+
+
+@pytest.mark.parametrize("cls", exported_detector_classes(), ids=lambda c: c.__name__)
+@pytest.mark.parametrize("value", _NOT_ONE_VALUE)
+def test_update_refuses_anything_else_before_counting(cls, value):
+    detector = cls()
+    with pytest.raises(TypeError, match="value must be a number, got "):
+        detector.update(value)
+    assert detector.n_seen == 0
+    assert detector.state_dict() == cls().state_dict()

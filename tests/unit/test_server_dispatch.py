@@ -13,6 +13,7 @@ connection keeps answering after undecodable lines.
 from __future__ import annotations
 
 import asyncio
+import gc
 import json
 import reprlib
 
@@ -290,3 +291,59 @@ def test_malformed_register_fields_are_a_plain_error(server, field, value):
     assert server.hub.stats()["n_monitors"] == 0
     # The refusal left nothing behind: the same key registers cleanly.
     assert _request(server, **request)["ok"]
+
+
+# ------------------------------------------------ ingest, decoded once
+
+#: The first bad event in request order answers, on both hubs.
+FIRST_BAD_EVENT = [
+    pytest.param(
+        [["t", "m9", [0, 1]], ["t", "m1", ["x"]]],
+        "unknown monitor t/m9; register it first",
+        id="unknown-monitor-first",
+    ),
+    pytest.param(
+        [["t", "m1", ["x"]], ["t", "m9", [0, 1]]],
+        "monitor t/m1: values must be a number or a flat list of numbers, "
+        "got ['x']",
+        id="malformed-payload-first",
+    ),
+]
+
+
+@pytest.mark.parametrize("bad_events, error", FIRST_BAD_EVENT)
+def test_first_bad_ingest_event_in_request_order_answers(server, bad_events, error):
+    hub = server.hub
+    hub.register("t", "m1", "DDM")
+    hub.register("t", "m2", "DDM")
+    events = [["t", "m2", [0, 1, 0]], *bad_events, ["t", "m2", 1.0]]
+    assert _request(server, op="ingest", events=events) == {"ok": False, "error": error}
+    for monitor in ("m1", "m2"):
+        assert hub.stats("t", monitor)["n_seen"] == 0
+
+
+def test_no_decoded_payload_list_is_alive_while_the_hub_ingests(server, monkeypatch):
+    """The decoded lists of an ``ingest`` request are gone by the time the
+    hub runs: the collector never walks them while detectors allocate."""
+    length = 1237  # no other list in the process is this long
+    server.hub.register("t", "m", "DDM")
+    payload = b"[" + b",".join([b"0.0", b"1.0", b"0.0", b"0.0"] * 309 + [b"1.0"]) + b"]"
+    line = b'{"op":"ingest","events":[["t","m",%s],["t","m",%s]]}' % (payload, payload)
+    ingest = server.hub.ingest
+    alive = []
+
+    def watched_ingest(events, trace_ctx=None):
+        alive.append(
+            sum(
+                1
+                for obj in gc.get_objects()
+                if type(obj) is list and len(obj) == length
+            )
+        )
+        return ingest(events, trace_ctx=trace_ctx)
+
+    monkeypatch.setattr(server.hub, "ingest", watched_ingest)
+    response = server._dispatch_line(line)
+    assert response["ok"], response
+    assert [result["n"] for result in response["results"]] == [2 * length]
+    assert alive == [0]
