@@ -6,8 +6,9 @@ Public surface:
 * :class:`repro.core.config.OptwinConfig` — validated parameters.
 * :class:`repro.core.base.DriftDetector` — the interface every detector
   (OPTWIN and the baselines in :mod:`repro.detectors`) implements.
-* :mod:`repro.core.optimal_cut` / :mod:`repro.core.ppf_tables` — the
-  data-independent optimal-cut machinery.
+* :mod:`repro.core.optimal_cut` — the data-independent optimal-cut search.
+* :mod:`repro.core.ppf_tables` — its results for one configuration, as
+  arrays indexed by window length, read by both of OPTWIN's update paths.
 """
 
 from repro.core.base import (
@@ -27,12 +28,7 @@ from repro.core.optimal_cut import (
     welch_df_upper_bound,
 )
 from repro.core.optwin import Optwin
-from repro.core.ppf_tables import (
-    CutTable,
-    DenseCutArrays,
-    clear_cut_table_cache,
-    get_cut_table,
-)
+from repro.core.ppf_tables import CutTable, get_cut_table
 
 __all__ = [
     "Optwin",
@@ -49,7 +45,5 @@ __all__ = [
     "welch_df_upper_bound",
     "minimum_solvable_length",
     "CutTable",
-    "DenseCutArrays",
     "get_cut_table",
-    "clear_cut_table_cache",
 ]

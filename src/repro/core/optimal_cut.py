@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Dict, Optional, Tuple
 
 from repro.exceptions import ConfigurationError
 from repro.stats.distributions import f_ppf, t_ppf
@@ -103,6 +103,21 @@ def welch_df_upper_bound(n_hist: int, n_new: int, f_factor: float) -> float:
     return max(numerator / denominator, 1.0)
 
 
+#: One split's ``(f_critical, degrees_of_freedom, t_critical, detectable
+#: shift)``: the F threshold, the Equation-2 bound, the t threshold and the
+#: right-hand side of Equation 1.
+_Evaluation = Tuple[float, float, float, float]
+
+
+def _evaluate_split(n_hist: int, n_new: int, confidence: float) -> _Evaluation:
+    """Equations 1 and 2 at one split: two PPF evaluations."""
+    f_factor = f_ppf(confidence, n_hist - 1, n_new - 1)
+    df = welch_df_upper_bound(n_hist, n_new, f_factor)
+    t_critical = t_ppf(confidence, df)
+    detectable = t_critical * math.sqrt(1.0 / n_hist + f_factor / n_new)
+    return f_factor, df, t_critical, detectable
+
+
 def detectable_rho(n_hist: int, n_new: int, confidence: float) -> float:
     """Right-hand side of Equation 1 for a concrete integer split.
 
@@ -115,10 +130,7 @@ def detectable_rho(n_hist: int, n_new: int, confidence: float) -> float:
             f"both sub-windows need >= {_MIN_SUBWINDOW} elements, "
             f"got n_hist={n_hist}, n_new={n_new}"
         )
-    f_factor = f_ppf(confidence, n_hist - 1, n_new - 1)
-    df = welch_df_upper_bound(n_hist, n_new, f_factor)
-    t_critical = t_ppf(confidence, df)
-    return t_critical * math.sqrt(1.0 / n_hist + f_factor / n_new)
+    return _evaluate_split(n_hist, n_new, confidence)[3]
 
 
 def rho_temp(length: int, confidence: float) -> float:
@@ -128,11 +140,16 @@ def rho_temp(length: int, confidence: float) -> float:
     return detectable_rho(n_hist, n_new, confidence)
 
 
-def _spec_for_split(length: int, n_hist: int, confidence: float, solved: bool) -> SplitSpec:
-    n_new = length - n_hist
-    f_factor = f_ppf(confidence, n_hist - 1, n_new - 1)
-    df = welch_df_upper_bound(n_hist, n_new, f_factor)
-    t_critical = t_ppf(confidence, df)
+def _spec_for_split(
+    length: int,
+    n_hist: int,
+    confidence: float,
+    solved: bool,
+    evaluation: Optional[_Evaluation] = None,
+) -> SplitSpec:
+    if evaluation is None:
+        evaluation = _evaluate_split(n_hist, length - n_hist, confidence)
+    f_factor, df, t_critical, _ = evaluation
     # Line 11 of Algorithm 1 takes the F threshold with dof
     # (nu*|W| - 1, (1 - nu)*|W| - 1), i.e. the *historical* window first, even
     # though W_new's variance sits in the numerator of the statistic.  With
@@ -140,13 +157,12 @@ def _spec_for_split(length: int, n_hist: int, confidence: float, solved: bool) -
     # of the two orderings and is what keeps OPTWIN's false-positive rate low;
     # we follow the paper literally (it also makes f_critical identical to the
     # f_factor of Equation 1).
-    f_critical = f_factor
     return SplitSpec(
         length=length,
         nu_split=n_hist,
         nu=n_hist / length,
         t_critical=t_critical,
-        f_critical=f_critical,
+        f_critical=f_factor,
         degrees_of_freedom=df,
         solved=solved,
     )
@@ -188,8 +204,20 @@ def optimal_split(
     lo = _MIN_SUBWINDOW
     hi = length - _MIN_SUBWINDOW
 
+    # Each candidate is evaluated once; the searches below may probe one
+    # twice, and the result is built from its evaluation.
+    evaluated: Dict[int, _Evaluation] = {}
+
+    def evaluate(n_hist: int) -> _Evaluation:
+        if n_hist not in evaluated:
+            evaluated[n_hist] = _evaluate_split(n_hist, length - n_hist, confidence)
+        return evaluated[n_hist]
+
     def feasible(n_hist: int) -> bool:
-        return detectable_rho(n_hist, length - n_hist, confidence) <= rho
+        return evaluate(n_hist)[3] <= rho
+
+    def split(n_hist: int, solved: bool = True) -> SplitSpec:
+        return _spec_for_split(length, n_hist, confidence, solved, evaluate(n_hist))
 
     if hint is not None:
         start = min(max(hint, lo), hi)
@@ -198,14 +226,14 @@ def optimal_split(
             n_hist = start
             while n_hist < hi and feasible(n_hist + 1):
                 n_hist += 1
-            return _spec_for_split(length, n_hist, confidence, solved=True)
+            return split(n_hist)
         # Walk left until a feasible split is found (or none exists).
         n_hist = start - 1
         while n_hist >= lo:
             if feasible(n_hist):
-                return _spec_for_split(length, n_hist, confidence, solved=True)
+                return split(n_hist)
             n_hist -= 1
-        return _spec_for_split(length, length // 2, confidence, solved=False)
+        return split(length // 2, solved=False)
 
     # No hint: binary search on the right (increasing) branch.  The function
     # detectable_rho(nu) is U-shaped in nu; its largest feasible point, when
@@ -226,7 +254,7 @@ def optimal_split(
                 feasible_probe = probe
                 break
         if feasible_probe is None:
-            return _spec_for_split(length, length // 2, confidence, solved=False)
+            return split(length // 2, solved=False)
 
     # Binary search for the largest feasible n_hist in [feasible_probe, hi].
     low, high = feasible_probe, hi
@@ -236,7 +264,7 @@ def optimal_split(
             low = mid
         else:
             high = mid - 1
-    return _spec_for_split(length, low, confidence, solved=True)
+    return split(low)
 
 
 def minimum_solvable_length(rho: float, confidence: float, max_length: int = 100_000) -> int:

@@ -12,9 +12,10 @@ learner.  At every new element it:
    confidence ``delta' = delta ** (1/4)``,
 4. flags a drift and resets itself when either test rejects.
 
-The split and both test thresholds depend only on the window length, so they
-are served from a process-wide pre-computed table
-(:mod:`repro.core.ppf_tables`), keeping the per-element cost O(1) amortised.
+The split and the test thresholds depend only on the window length, so both
+the scalar and the batched path read them from one process-wide table of
+arrays indexed by ``|W|`` (:mod:`repro.core.ppf_tables`), keeping the
+per-element cost O(1) amortised.
 
 Example
 -------
@@ -40,7 +41,7 @@ import numpy as np
 
 from repro.core.base import DetectionResult, DriftDetector, DriftType
 from repro.core.config import OptwinConfig
-from repro.core.optimal_cut import SplitSpec
+from repro.core.optimal_cut import SplitSpec, detectable_rho, optimal_split
 from repro.core.ppf_tables import CutTable, get_cut_table
 from repro.exceptions import ConfigurationError
 from repro.stats.incremental import PrefixStats
@@ -129,8 +130,9 @@ class Optwin(DriftDetector):
             )
         self._config = config
         self._reset_mode = reset_mode
+        warning = config.warning_delta_prime if config.warning_enabled else None
         self._cut_table: CutTable = get_cut_table(
-            rho=config.rho, confidence=config.delta_prime, min_length=4
+            config.rho, config.delta_prime, warning
         )
         self._init_state()
 
@@ -165,7 +167,7 @@ class Optwin(DriftDetector):
         length = len(self._window)
         if length < self._config.w_min:
             return None
-        return self._cut_table.spec(length)
+        return optimal_split(length, self._config.rho, self._config.delta_prime)
 
     # ------------------------------------------------------------- updates
 
@@ -182,9 +184,13 @@ class Optwin(DriftDetector):
             window.popleft()
 
         length = len(window)
-        spec = self._cut_table.spec(length)
-        n_hist = spec.n_hist
-        n_new = spec.n_new
+        table = self._cut_table
+        if length > table.max_length:
+            table.grow(length)
+        n_hist = table.n_hist.item(length)
+        n_new = length - n_hist
+        f_critical = table.f_critical.item(length)
+        t_critical = table.t_critical.item(length)
 
         mean_hist = window.mean(0, n_hist)
         mean_new = window.mean(n_hist, length)
@@ -208,9 +214,9 @@ class Optwin(DriftDetector):
             "std_hist": std_hist,
             "std_new": std_new,
             "f_statistic": f_stat,
-            "f_critical": spec.f_critical,
+            "f_critical": f_critical,
             "t_statistic": t_stat,
-            "t_critical": spec.t_critical,
+            "t_critical": t_critical,
         }
 
         mean_shift = abs(mean_new - mean_hist)
@@ -224,9 +230,9 @@ class Optwin(DriftDetector):
         )
 
         drift_type: Optional[DriftType] = None
-        if variance_test_enabled and direction_ok and f_stat > spec.f_critical:
+        if variance_test_enabled and direction_ok and f_stat > f_critical:
             drift_type = DriftType.VARIANCE
-        elif direction_ok and magnitude_ok and abs(t_stat) > spec.t_critical:
+        elif direction_ok and magnitude_ok and abs(t_stat) > t_critical:
             drift_type = DriftType.MEAN
 
         if drift_type is not None:
@@ -240,9 +246,8 @@ class Optwin(DriftDetector):
 
         warning = False
         if config.warning_enabled and direction_ok:
-            f_warn, t_warn = self._cut_table.warning_critical(
-                length, config.warning_delta_prime
-            )
+            f_warn = table.f_warning.item(length)
+            t_warn = table.t_warning.item(length)
             warning = (variance_test_enabled and f_stat > f_warn) or abs(
                 t_stat
             ) > t_warn
@@ -262,21 +267,16 @@ class Optwin(DriftDetector):
     # ------------------------------------------------------- batched updates
 
     def precompute_tables(self, max_length: Optional[int] = None) -> None:
-        """Eagerly build the dense cut arrays (the paper's offline step).
+        """Eagerly fill the cut table (the paper's offline step).
 
-        The batched path grows the tables lazily as the window grows; calling
+        Both update paths grow the table lazily as the window grows; calling
         this first (e.g. before timing a benchmark) moves that one-time cost
         out of the measured region, matching the paper's Section-3.4 setting
         where all thresholds are pre-computed before the stream starts.
         """
         config = self._config
         limit = config.w_max if max_length is None else min(max_length, config.w_max)
-        limit = max(limit, config.w_min)
-        self._cut_table.dense(limit, self._warning_confidence())
-
-    def _warning_confidence(self) -> Optional[float]:
-        config = self._config
-        return config.warning_delta_prime if config.warning_enabled else None
+        self._cut_table.grow(max(limit, config.w_min))
 
     def _batch_kernel(
         self,
@@ -289,8 +289,8 @@ class Optwin(DriftDetector):
         """Vectorise one between-reset segment starting at ``values[position]``.
 
         The F/t statistics of every element in the segment are computed at
-        once from the window's cumulative sums, with the split specs gathered
-        from the dense pre-computed cut arrays; a drift ends the segment and
+        once from the window's cumulative sums, with the splits and thresholds
+        gathered from the cut table's arrays; a drift ends the segment and
         resets the window exactly like :meth:`_update_one`.  The segment is
         capped so that the storage compaction point can never fall inside it:
         the element whose eviction triggers the compaction runs through
@@ -346,7 +346,8 @@ class Optwin(DriftDetector):
             self._all_values_binary = bool(all_binary[-1])
             return seg, self._segment_limit(limit * 4), None
 
-        dense = self._cut_table.dense(max_len, self._warning_confidence())
+        table = self._cut_table
+        table.grow(max_len)
         prefix, prefix_sq, _, end = window.raw_arrays()
         e0 = end - seg
 
@@ -355,7 +356,7 @@ class Optwin(DriftDetector):
         lens = np.minimum(total, config.w_max)
         hi = e0 + 1 + jj
         lo = hi - lens
-        n_hist = dense.n_hist[lens]
+        n_hist = table.n_hist[lens]
         cut = lo + n_hist
 
         nh_f = n_hist.astype(np.float64)
@@ -412,13 +413,13 @@ class Optwin(DriftDetector):
             variance_enabled = np.ones(jj.shape[0], dtype=bool)
 
         variance_drift = (
-            variance_enabled & direction_ok & (f_stat > dense.f_critical[lens])
+            variance_enabled & direction_ok & (f_stat > table.f_critical[lens])
         )
         mean_drift = (
             ~variance_drift
             & direction_ok
             & magnitude_ok
-            & (abs_t > dense.t_critical[lens])
+            & (abs_t > table.t_critical[lens])
         )
         drift = variance_drift | mean_drift
 
@@ -427,8 +428,8 @@ class Optwin(DriftDetector):
                 ~drift
                 & direction_ok
                 & (
-                    (variance_enabled & (f_stat > dense.f_warning[lens]))
-                    | (abs_t > dense.t_warning[lens])
+                    (variance_enabled & (f_stat > table.f_warning[lens]))
+                    | (abs_t > table.t_warning[lens])
                 )
             )
         else:
@@ -494,7 +495,7 @@ class Optwin(DriftDetector):
         return cls(config=OptwinConfig(**kwargs), reset_mode=reset_mode)
 
     def _state_dict(self) -> dict:
-        # The cut table is data-independent (cached per configuration), so
+        # The cut table is data-independent (shared per configuration), so
         # only the window storage and the binary-input flag are serialized.
         # The window's prefix arrays must be captured verbatim — see
         # PrefixStats.state_dict — for restored detections to stay bit-exact.
@@ -519,8 +520,6 @@ class Optwin(DriftDetector):
         spec = self.current_split()
         if spec is None:
             return None
-        from repro.core.optimal_cut import detectable_rho
-
         return detectable_rho(spec.n_hist, spec.n_new, self._config.delta_prime)
 
     def memory_bytes(self) -> int:

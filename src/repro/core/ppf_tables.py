@@ -1,22 +1,16 @@
 """Per-window-length cut tables (Section 3.4 of the OPTWIN paper).
 
-The optimal split ``nu`` and the two test thresholds depend only on the window
-length, the robustness ``rho``, and the per-test confidence ``delta'`` — never
-on the data.  The paper therefore pre-computes them once and stores them in
-lists indexed by ``|W|``.
+The optimal split ``nu`` and the F/t thresholds depend only on the window
+length, the robustness ``rho`` and the per-test confidences — never on the
+data.  The paper therefore pre-computes them once and stores them in lists
+indexed by ``|W|``.
 
-:class:`CutTable` reproduces that idea with two usage modes:
-
-* **lazy** (default) — specs are computed on first request and memoised.  The
-  computation warm-starts from the nearest previously computed length, so when
-  a detector grows its window one element at a time the amortised cost per
-  length is O(1).
-* **eager** — :meth:`CutTable.precompute` fills the table for every length up
-  front, exactly like the paper's offline pre-computation.
-
-Tables are shared process-wide through :func:`get_cut_table`, keyed by
-``(rho, confidence, w_min)``, so thirty repetitions of an experiment (or many
-detector instances inside a pipeline) pay the pre-computation only once.
+:class:`CutTable` is that store for one configuration: five arrays indexed by
+the window length, filled in length order up to the longest window asked for
+so far, each length's search starting from the previous length's split.  The
+scalar and the batched OPTWIN paths read the same arrays.  Tables are shared
+process-wide through :func:`get_cut_table`, so thirty repetitions of an
+experiment (or many detector instances inside a pipeline) fill them once.
 """
 
 from __future__ import annotations
@@ -30,233 +24,108 @@ from repro.core.optimal_cut import SplitSpec, optimal_split
 from repro.exceptions import ConfigurationError
 from repro.stats.distributions import f_ppf, t_ppf
 
-__all__ = ["CutTable", "DenseCutArrays", "get_cut_table", "clear_cut_table_cache"]
+__all__ = ["CutTable", "get_cut_table"]
 
-
-class DenseCutArrays:
-    """Per-length split specs flattened into dense numpy arrays.
-
-    Index every array by the window length ``|W|``; entries below the table's
-    minimum length are zero-filled and must be masked out by the caller.  This
-    is the literal Section-3.4 pre-computation layout: one contiguous lookup
-    per quantity, so a batched detector can gather the specs for thousands of
-    window lengths with a single fancy-indexing operation instead of one
-    memoised dict lookup per element.
-
-    Attributes
-    ----------
-    max_length:
-        Largest window length the arrays cover (inclusive).
-    warning_confidence:
-        Per-test confidence the warning thresholds were computed for, or
-        ``None`` when warning thresholds were not materialised (the
-        ``f_warning``/``t_warning`` arrays are zero-filled in that case).
-    n_hist:
-        ``int64`` array; ``n_hist[L]`` is the historical sub-window size.
-    f_critical, t_critical:
-        ``float64`` arrays mirroring the :class:`SplitSpec` fields.
-    f_warning, t_warning:
-        ``float64`` arrays with the cached warning-zone critical values.
-    """
-
-    __slots__ = (
-        "max_length",
-        "warning_confidence",
-        "n_hist",
-        "f_critical",
-        "t_critical",
-        "f_warning",
-        "t_warning",
-    )
-
-    def __init__(self, max_length: int, warning_confidence: Optional[float]) -> None:
-        size = max_length + 1
-        self.max_length = max_length
-        self.warning_confidence = warning_confidence
-        self.n_hist = np.zeros(size, dtype=np.int64)
-        self.f_critical = np.zeros(size, dtype=np.float64)
-        self.t_critical = np.zeros(size, dtype=np.float64)
-        self.f_warning = np.zeros(size, dtype=np.float64)
-        self.t_warning = np.zeros(size, dtype=np.float64)
+#: Shortest window :func:`optimal_split` accepts; shorter entries stay zero.
+_MIN_LENGTH = 4
+_ARRAYS = ("n_hist", "f_critical", "t_critical", "f_warning", "t_warning")
 
 
 class CutTable:
-    """Memoised map from window length to :class:`SplitSpec`.
+    """Split size and F/t thresholds of one configuration, indexed by ``|W|``.
 
     Parameters
     ----------
     rho:
-        Robustness parameter of the OPTWIN configuration.
+        Robustness parameter.
     confidence:
-        Per-test confidence ``delta' = delta ** (1/4)``.
-    min_length:
-        Smallest window length the table will ever be asked for (usually the
-        detector's ``w_min``).
+        Per-test confidence ``delta'`` of the drift tests.
+    warning_confidence:
+        Per-test confidence of the warning tests, or ``None`` when warnings
+        are off (the warning arrays then stay zero).
+
+    Attributes
+    ----------
+    max_length:
+        Longest window length filled so far.  Entries up to it never change,
+        so a reader may index them without the lock.
+    n_hist:
+        ``int64``; ``n_hist[L]`` is the historical sub-window size at
+        ``|W| = L``.
+    f_critical, t_critical:
+        ``float64`` drift thresholds of that split.
+    f_warning, t_warning:
+        ``float64`` warning thresholds of that split.
     """
 
-    def __init__(self, rho: float, confidence: float, min_length: int = 4) -> None:
-        if min_length < 4:
-            raise ConfigurationError(f"min_length must be >= 4, got {min_length}")
-        self._rho = rho
-        self._confidence = confidence
-        self._min_length = min_length
-        self._specs: Dict[int, SplitSpec] = {}
-        self._last_length: Optional[int] = None
+    def __init__(
+        self, rho: float, confidence: float, warning_confidence: Optional[float]
+    ) -> None:
+        self.rho = rho
+        self.confidence = confidence
+        self.warning_confidence = warning_confidence
+        self.max_length = _MIN_LENGTH - 1
+        self.n_hist = np.zeros(_MIN_LENGTH, dtype=np.int64)
+        self.f_critical = np.zeros(_MIN_LENGTH)
+        self.t_critical = np.zeros(_MIN_LENGTH)
+        self.f_warning = np.zeros(_MIN_LENGTH)
+        self.t_warning = np.zeros(_MIN_LENGTH)
+        self._last: Optional[SplitSpec] = None
         self._lock = threading.Lock()
-        self._warning_cache: Dict[Tuple[float, int], Tuple[float, float]] = {}
-        self._dense: Dict[Optional[float], DenseCutArrays] = {}
-        self._dense_lock = threading.Lock()
 
-    @property
-    def rho(self) -> float:
-        """Robustness parameter the table was built for."""
-        return self._rho
-
-    @property
-    def confidence(self) -> float:
-        """Per-test confidence the table was built for."""
-        return self._confidence
-
-    @property
-    def n_cached(self) -> int:
-        """Number of window lengths currently memoised."""
-        return len(self._specs)
-
-    def spec(self, length: int) -> SplitSpec:
-        """Return the :class:`SplitSpec` for a window of ``length`` elements."""
-        if length < self._min_length:
+    def grow(self, max_length: int) -> None:
+        """Fill the table for every window length up to ``max_length``."""
+        if max_length < _MIN_LENGTH:
             raise ConfigurationError(
-                f"length {length} is below the table's minimum {self._min_length}"
+                f"window length must be >= {_MIN_LENGTH}, got {max_length}"
             )
-        cached = self._specs.get(length)
-        if cached is not None:
-            return cached
+        if max_length <= self.max_length:
+            return
         with self._lock:
-            cached = self._specs.get(length)
-            if cached is not None:
-                return cached
-            hint = self._hint_for(length)
-            spec = optimal_split(length, self._rho, self._confidence, hint=hint)
-            self._specs[length] = spec
-            self._last_length = length
-            return spec
-
-    def _hint_for(self, length: int) -> Optional[int]:
-        """Warm-start split for ``length`` from the nearest computed length."""
-        if self._last_length is not None and self._last_length in self._specs:
-            nearest = self._specs[self._last_length]
-            if nearest.solved:
-                return nearest.nu_split
-        # Fall back to the closest smaller cached length, if any.
-        smaller = [cached for cached in self._specs if cached < length]
-        if smaller:
-            candidate = self._specs[max(smaller)]
-            if candidate.solved:
-                return candidate.nu_split
-        return None
-
-    def warning_critical(self, length: int, confidence: float) -> Tuple[float, float]:
-        """Cached warning-zone critical values ``(f_warn, t_warn)``.
-
-        Like the drift thresholds, the warning-zone thresholds depend only on
-        the window length and the (relaxed) per-test confidence, so they are
-        memoised here instead of being recomputed from the F/t PPFs on every
-        element that reaches the warning branch.
-        """
-        key = (confidence, length)
-        cached = self._warning_cache.get(key)
-        if cached is not None:
-            return cached
-        spec = self.spec(length)
-        f_warn = f_ppf(confidence, spec.n_new - 1, spec.n_hist - 1)
-        t_warn = t_ppf(confidence, spec.degrees_of_freedom)
-        with self._lock:
-            self._warning_cache[key] = (f_warn, t_warn)
-        return f_warn, t_warn
-
-    def dense(
-        self, max_length: int, warning_confidence: Optional[float] = None
-    ) -> DenseCutArrays:
-        """Return dense per-length spec arrays covering ``[0, max_length]``.
-
-        Arrays are grown lazily and memoised per warning confidence; growth
-        copies the already-computed lengths and fills only the new tail, so
-        the amortised cost per length stays O(1) as a detector's window grows.
-        The returned object is immutable once published — callers may keep a
-        reference across updates.
-        """
-        if max_length < self._min_length:
-            raise ConfigurationError(
-                f"max_length {max_length} is below the table's minimum "
-                f"{self._min_length}"
-            )
-        current = self._dense.get(warning_confidence)
-        if current is not None and current.max_length >= max_length:
-            return current
-        with self._dense_lock:
-            current = self._dense.get(warning_confidence)
-            if current is not None and current.max_length >= max_length:
-                return current
-            dense = DenseCutArrays(max_length, warning_confidence)
-            start = self._min_length
-            if current is not None:
-                keep = current.max_length + 1
-                dense.n_hist[:keep] = current.n_hist
-                dense.f_critical[:keep] = current.f_critical
-                dense.t_critical[:keep] = current.t_critical
-                dense.f_warning[:keep] = current.f_warning
-                dense.t_warning[:keep] = current.t_warning
-                start = keep
+            start = self.max_length + 1
+            if max_length < start:
+                return
+            if max_length >= self.n_hist.shape[0]:
+                # Double the capacity, so a window growing one element at a
+                # time copies each entry a bounded number of times.
+                size = max(max_length + 1, 2 * self.n_hist.shape[0])
+                for name in _ARRAYS:
+                    grown = np.zeros(size, dtype=getattr(self, name).dtype)
+                    grown[:start] = getattr(self, name)[:start]
+                    setattr(self, name, grown)
+            warning_confidence = self.warning_confidence
+            spec = self._last
             for length in range(start, max_length + 1):
-                spec = self.spec(length)
-                dense.n_hist[length] = spec.nu_split
-                dense.f_critical[length] = spec.f_critical
-                dense.t_critical[length] = spec.t_critical
+                spec = self._split(length, spec)
+                self.n_hist[length] = spec.nu_split
+                self.f_critical[length] = spec.f_critical
+                self.t_critical[length] = spec.t_critical
                 if warning_confidence is not None:
-                    f_warn, t_warn = self.warning_critical(
-                        length, warning_confidence
+                    self.f_warning[length] = f_ppf(
+                        warning_confidence, spec.n_new - 1, spec.n_hist - 1
                     )
-                    dense.f_warning[length] = f_warn
-                    dense.t_warning[length] = t_warn
-            self._dense[warning_confidence] = dense
-            return dense
+                    self.t_warning[length] = t_ppf(
+                        warning_confidence, spec.degrees_of_freedom
+                    )
+            self._last = spec
+            self.max_length = max_length
 
-    def precompute(self, max_length: int) -> None:
-        """Eagerly fill the table for every length up to ``max_length``."""
-        if max_length < self._min_length:
-            raise ConfigurationError(
-                f"max_length {max_length} is below the table's minimum "
-                f"{self._min_length}"
-            )
-        for length in range(self._min_length, max_length + 1):
-            self.spec(length)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"CutTable(rho={self._rho}, confidence={self._confidence:.6f}, "
-            f"cached={len(self._specs)})"
-        )
+    def _split(self, length: int, previous: Optional[SplitSpec]) -> SplitSpec:
+        """The split at ``length``, given the split at ``length - 1``."""
+        hint = previous.nu_split if previous is not None and previous.solved else None
+        return optimal_split(length, self.rho, self.confidence, hint=hint)
 
 
-_TABLE_CACHE: Dict[Tuple[float, float, int], CutTable] = {}
-_TABLE_CACHE_LOCK = threading.Lock()
+_TABLES: Dict[Tuple[float, float, Optional[float]], CutTable] = {}
 
 
-def get_cut_table(rho: float, confidence: float, min_length: int = 4) -> CutTable:
-    """Return the process-wide :class:`CutTable` for this configuration."""
-    key = (float(rho), float(confidence), int(min_length))
-    table = _TABLE_CACHE.get(key)
-    if table is not None:
-        return table
-    with _TABLE_CACHE_LOCK:
-        table = _TABLE_CACHE.get(key)
-        if table is None:
-            table = CutTable(rho=rho, confidence=confidence, min_length=min_length)
-            _TABLE_CACHE[key] = table
-        return table
-
-
-def clear_cut_table_cache() -> None:
-    """Drop every cached table (mainly useful in tests and benchmarks)."""
-    with _TABLE_CACHE_LOCK:
-        _TABLE_CACHE.clear()
+def get_cut_table(
+    rho: float, confidence: float, warning_confidence: Optional[float]
+) -> CutTable:
+    """Return the process-wide :class:`CutTable` of this configuration."""
+    key = (rho, confidence, warning_confidence)
+    table = _TABLES.get(key)
+    if table is None:
+        # setdefault is atomic, so racing callers share the first table.
+        table = _TABLES.setdefault(key, CutTable(rho, confidence, warning_confidence))
+    return table

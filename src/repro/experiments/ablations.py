@@ -17,10 +17,12 @@ benchmarks can print comparable rows.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional
 
 from repro.core.config import OptwinConfig
+from repro.core.optimal_cut import SplitSpec, _spec_for_split
 from repro.core.optwin import Optwin
+from repro.core.ppf_tables import CutTable
 from repro.evaluation.experiment import DetectorSummary, ExperimentRunner
 from repro.streams.base import ValueStream
 from repro.streams.error_streams import (
@@ -38,28 +40,26 @@ __all__ = [
 ]
 
 
+class _HalfSplitTable(CutTable):
+    """Cut table whose split is always ``nu = 0.5``, with that split's thresholds."""
+
+    def _split(self, length: int, previous: Optional[SplitSpec]) -> SplitSpec:
+        return _spec_for_split(length, length // 2, self.confidence, solved=False)
+
+
 class _FixedSplitOptwin(Optwin):
-    """OPTWIN variant that always splits the window 50/50 (ablation A2)."""
+    """OPTWIN variant that always splits the window 50/50 (ablation A2).
 
-    def _update_one(self, value):  # type: ignore[override]
-        # Monkey-patching the cut table would leak into the shared cache, so
-        # this variant swaps in a private table whose specs force nu = 0.5.
-        spec_source = self._cut_table
+    It owns a private 50/50 table instead of the shared optimal one, so its
+    scalar and batched paths both read the fixed split.
+    """
 
-        class _HalfTable:
-            def spec(self, length: int):
-                from repro.core.optimal_cut import _spec_for_split
-
-                return _spec_for_split(
-                    length, length // 2, spec_source.confidence, solved=False
-                )
-
-        original = self._cut_table
-        self._cut_table = _HalfTable()  # type: ignore[assignment]
-        try:
-            return super()._update_one(value)
-        finally:
-            self._cut_table = original
+    def __init__(self, **kwargs: Any) -> None:
+        super().__init__(**kwargs)
+        table = self._cut_table
+        self._cut_table = _HalfSplitTable(
+            table.rho, table.confidence, table.warning_confidence
+        )
 
 
 def _variance_only_stream(seed: int, segment_length: int = 3_000) -> ValueStream:

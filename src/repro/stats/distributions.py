@@ -1,28 +1,20 @@
-"""Probability point functions (PPF) for the Student-t and F distributions.
+"""Quantile (PPF) and distribution (CDF) functions of the t, F and normal laws.
 
 OPTWIN's optimal-cut equation (Equation 1 in the paper) is written in terms of
 ``t_ppf`` and ``f_ppf``, the inverse CDFs of the Student-t and F distributions.
-These wrappers delegate to :mod:`scipy.stats` and add:
-
-* argument validation with library-specific exceptions,
-* a small memoisation cache (the same ``(confidence, df)`` pairs are queried
-  for every window length during table pre-computation),
-* pure-Python fallbacks (normal approximations) used only if SciPy were
-  unavailable; they keep the module importable in constrained environments and
-  are exercised directly by the unit tests.
+The t and F functions delegate to :mod:`scipy.special` and validate their
+arguments with library-specific exceptions; they keep no cache (OPTWIN's cut
+tables store what they need, see :mod:`repro.core.ppf_tables`).  The normal
+CDF and PPF are computed here, from ``math.erf`` and Acklam's approximation.
 """
 
 from __future__ import annotations
 
 import math
-from functools import lru_cache
+
+from scipy import special as _scipy_special
 
 from repro.exceptions import ConfigurationError
-
-try:  # pragma: no cover - scipy is a hard dependency in practice
-    from scipy import special as _scipy_special
-except ImportError:  # pragma: no cover
-    _scipy_special = None
 
 __all__ = [
     "t_ppf",
@@ -31,10 +23,7 @@ __all__ = [
     "f_cdf",
     "normal_ppf",
     "normal_cdf",
-    "HAVE_SCIPY",
 ]
-
-HAVE_SCIPY = _scipy_special is not None
 
 
 def _validate_confidence(confidence: float) -> None:
@@ -79,7 +68,6 @@ def normal_ppf(p: float) -> float:
         ((((d[0] * q + d[1]) * q + d[2]) * q + d[3]) * q + 1.0)
 
 
-@lru_cache(maxsize=65536)
 def t_ppf(confidence: float, df: float) -> float:
     """PPF of the Student-t distribution at ``confidence`` with ``df`` d.o.f.
 
@@ -94,19 +82,11 @@ def t_ppf(confidence: float, df: float) -> float:
     _validate_confidence(confidence)
     if df <= 0:
         raise ConfigurationError(f"degrees of freedom must be > 0, got {df}")
-    if _scipy_special is not None:
-        # scipy.special.stdtrit is the direct (and much faster) equivalent of
-        # scipy.stats.t.ppf for scalar arguments.
-        return float(_scipy_special.stdtrit(df, confidence))
-    # Fallback: Cornish-Fisher style expansion around the normal quantile.
-    z = normal_ppf(confidence)
-    g1 = (z ** 3 + z) / 4.0
-    g2 = (5.0 * z ** 5 + 16.0 * z ** 3 + 3.0 * z) / 96.0
-    g3 = (3.0 * z ** 7 + 19.0 * z ** 5 + 17.0 * z ** 3 - 15.0 * z) / 384.0
-    return z + g1 / df + g2 / df ** 2 + g3 / df ** 3
+    # scipy.special.stdtrit is the direct (and much faster) equivalent of
+    # scipy.stats.t.ppf for scalar arguments.
+    return float(_scipy_special.stdtrit(df, confidence))
 
 
-@lru_cache(maxsize=65536)
 def f_ppf(confidence: float, dfn: float, dfd: float) -> float:
     """PPF of the F distribution.
 
@@ -122,26 +102,14 @@ def f_ppf(confidence: float, dfn: float, dfd: float) -> float:
         raise ConfigurationError(
             f"degrees of freedom must be > 0, got dfn={dfn}, dfd={dfd}"
         )
-    if _scipy_special is not None:
-        return float(_scipy_special.fdtri(dfn, dfd, confidence))
-    # Fallback: Wilson-Hilferty style approximation via the normal quantile.
-    z = normal_ppf(confidence)
-    lam = (z * z - 3.0) / 6.0
-    h = 2.0 / (1.0 / (dfn - 1.0 + 1e-12) + 1.0 / (dfd - 1.0 + 1e-12))
-    w = z * math.sqrt(h + lam) / h - (lam + 5.0 / 6.0 - 2.0 / (3.0 * h)) * (
-        1.0 / (dfn - 1.0 + 1e-12) - 1.0 / (dfd - 1.0 + 1e-12)
-    )
-    return math.exp(2.0 * w)
+    return float(_scipy_special.fdtri(dfn, dfd, confidence))
 
 
 def t_cdf(x: float, df: float) -> float:
     """CDF of the Student-t distribution."""
     if df <= 0:
         raise ConfigurationError(f"degrees of freedom must be > 0, got {df}")
-    if _scipy_special is not None:
-        return float(_scipy_special.stdtr(df, x))
-    # Fallback via the normal approximation (adequate for large df).
-    return normal_cdf(x * (1.0 - 1.0 / (4.0 * df)) / math.sqrt(1.0 + x * x / (2.0 * df)))
+    return float(_scipy_special.stdtr(df, x))
 
 
 def f_cdf(x: float, dfn: float, dfd: float) -> float:
@@ -152,9 +120,4 @@ def f_cdf(x: float, dfn: float, dfd: float) -> float:
         )
     if x <= 0:
         return 0.0
-    if _scipy_special is not None:
-        return float(_scipy_special.fdtr(dfn, dfd, x))
-    # Fallback: Paulson approximation mapping F to a standard normal deviate.
-    num = (1.0 - 2.0 / (9.0 * dfd)) * x ** (1.0 / 3.0) - (1.0 - 2.0 / (9.0 * dfn))
-    den = math.sqrt(2.0 / (9.0 * dfn) + (x ** (2.0 / 3.0)) * 2.0 / (9.0 * dfd))
-    return normal_cdf(num / den)
+    return float(_scipy_special.fdtr(dfn, dfd, x))

@@ -1,7 +1,9 @@
 """Integration tests for the per-table/figure experiment drivers (small scale)."""
 
+import numpy as np
 import pytest
 
+from repro import Optwin
 from repro.evaluation.reporting import format_accuracy_table, format_detection_rows
 from repro.experiments import ablations, figures, runtime, significance, table1, table2
 
@@ -111,6 +113,30 @@ class TestAblationsAndRuntime:
         with_f = summaries["OPTWIN (t + F tests)"].aggregate
         without_f = summaries["OPTWIN (t test only)"].aggregate
         assert with_f.recall > without_f.recall
+
+    def test_optimal_cut_ablation_runs(self):
+        summaries = ablations.run_optimal_cut_ablation(
+            n_repetitions=2, segment_length=1_000
+        )
+        optimal = summaries["OPTWIN (optimal cut)"].aggregate
+        fixed = summaries["OPTWIN (fixed 50/50 cut)"].aggregate
+        assert fixed.recall > 0.0
+        assert optimal.recall >= fixed.recall
+        assert optimal.mean_delay <= fixed.mean_delay
+
+    def test_fixed_split_variant_scalar_equals_batch(self):
+        stream = ablations._mean_shift_binary_stream(seed=1, segment_length=3_000)
+        values = np.asarray(stream.values, dtype=float)
+        scalar = ablations._FixedSplitOptwin(rho=0.5)
+        outcomes = [scalar.update(value) for value in values]
+        batch = ablations._FixedSplitOptwin(rho=0.5).update_batch(values)
+        drifts = [i for i, outcome in enumerate(outcomes) if outcome.drift_detected]
+        warnings = [i for i, o in enumerate(outcomes) if o.warning_detected]
+        assert drifts and drifts == list(batch.drift_indices)
+        assert warnings == list(batch.warning_indices)
+        # The variant reads its own 50/50 table; the shared table is untouched.
+        assert scalar._cut_table.n_hist[1_001] == 500
+        assert Optwin(rho=0.5)._cut_table is not scalar._cut_table
 
     def test_rho_sensitivity_orders_delay(self):
         summaries = ablations.run_rho_sensitivity(

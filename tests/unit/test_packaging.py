@@ -2,8 +2,9 @@
 
 The setup shim (``setup.py``) declares that all real metadata lives in
 ``pyproject.toml``; these tests pin that promise so the distribution keeps a
-name, a version, src-layout package discovery, and the numpy and orjson
-(the serving layer's request decoder) dependencies.
+name, a version, src-layout package discovery, and the numpy, orjson (the
+serving layer's request decoder) and scipy (the t and F quantiles of OPTWIN's
+cut tables) dependencies.
 """
 
 import pathlib
@@ -25,6 +26,7 @@ def test_pyproject_exists_with_core_metadata():
     assert data["project"]["name"]
     assert any(dep.startswith("numpy") for dep in data["project"]["dependencies"])
     assert any(dep.startswith("orjson") for dep in data["project"]["dependencies"])
+    assert any(dep.startswith("scipy") for dep in data["project"]["dependencies"])
 
 
 def test_version_is_single_sourced_from_the_package():
