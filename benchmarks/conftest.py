@@ -6,8 +6,10 @@ minutes while preserving the shape of each comparison; set the environment
 variable ``REPRO_BENCH_SCALE=paper`` to run the paper-sized configurations
 (100,000-instance streams, 30 repetitions — this takes hours).
 
-Results are printed to stdout (visible with ``pytest -s``) and also appended to
-``benchmarks/results/`` so they survive pytest's output capture.
+Results are printed to stdout (visible with ``pytest -s``) and also written
+to a file so they survive pytest's output capture: a table committed under
+``benchmarks/results/`` is rewritten there, anything else goes to the
+gitignored ``benchmarks/scratch/`` (see the ``report`` fixture).
 """
 
 from __future__ import annotations
@@ -61,18 +63,21 @@ def scale():
 
 @pytest.fixture(scope="session")
 def report():
-    """Print a result block and persist it under ``benchmarks/results/``.
+    """Print a result block and persist it.
 
-    With ``scratch=True`` the block goes to the gitignored
-    ``benchmarks/scratch/`` instead: for a run whose scale differs from the
-    one the committed table was measured at.
+    Only a table that is already committed under ``benchmarks/results/`` is
+    rewritten there, so a run never adds files to the checkout.  Any other
+    table goes to the gitignored ``benchmarks/scratch/``, and so does every
+    table with ``scratch=True``: for a run whose scale differs from the one
+    the committed table was measured at.
     """
 
     def _report(name: str, text: str, scratch: bool = False) -> None:
         print(f"\n{text}\n")
-        directory = RESULTS_DIR.parent / "scratch" if scratch else RESULTS_DIR
-        directory.mkdir(exist_ok=True)
-        output_path = directory / f"{name}.txt"
+        output_path = RESULTS_DIR / f"{name}.txt"
+        if scratch or not output_path.is_file():
+            output_path = RESULTS_DIR.parent / "scratch" / f"{name}.txt"
+            output_path.parent.mkdir(exist_ok=True)
         output_path.write_text(text + "\n", encoding="utf-8")
 
     return _report

@@ -26,11 +26,25 @@ import reprlib
 from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Any, ClassVar, Dict, Iterable, List, Mapping, Optional, Tuple, Type
+from typing import (
+    TYPE_CHECKING,
+    Any,
+    ClassVar,
+    Dict,
+    Iterable,
+    List,
+    Mapping,
+    Optional,
+    Tuple,
+    Type,
+)
 
 import numpy as np
 
 from repro.exceptions import SnapshotError
+
+if TYPE_CHECKING:
+    from repro.core.ppf_tables import CutTable
 
 #: Version of the detector snapshot schema produced by
 #: :meth:`DriftDetector.state_dict`.  Bump whenever the layout of the
@@ -408,6 +422,15 @@ class DriftDetector(abc.ABC):
         while keeping configuration and data-independent pre-computed
         tables.  The base class has no state.
         """
+
+    def _table_demand(self) -> Optional[Tuple["CutTable", int]]:
+        """The cut table this detector reads and the length it needs filled.
+
+        A serving hub fills that table before the monitor's first value
+        (:func:`repro.core.ppf_tables.build_in_child`); ``None``, the base
+        class's answer, means the detector reads no table.
+        """
+        return None
 
     def reset(self) -> None:
         """Return the detector to its initial (post-construction) state.

@@ -41,7 +41,7 @@ import numpy as np
 
 from repro.core.base import DetectionResult, DriftDetector, DriftType
 from repro.core.config import OptwinConfig
-from repro.core.optimal_cut import SplitSpec, detectable_rho, optimal_split
+from repro.core.optimal_cut import SplitSpec, detectable_rho
 from repro.core.ppf_tables import CutTable, get_cut_table
 from repro.exceptions import ConfigurationError
 from repro.stats.incremental import PrefixStats
@@ -167,7 +167,7 @@ class Optwin(DriftDetector):
         length = len(self._window)
         if length < self._config.w_min:
             return None
-        return optimal_split(length, self._config.rho, self._config.delta_prime)
+        return self._cut_table.split(length)
 
     # ------------------------------------------------------------- updates
 
@@ -277,6 +277,10 @@ class Optwin(DriftDetector):
         config = self._config
         limit = config.w_max if max_length is None else min(max_length, config.w_max)
         self._cut_table.grow(max(limit, config.w_min))
+
+    def _table_demand(self) -> Tuple[CutTable, int]:
+        config = self._config
+        return self._cut_table, max(config.w_min, config.w_max)
 
     def _batch_kernel(
         self,

@@ -43,7 +43,7 @@ __all__ = [
 class _HalfSplitTable(CutTable):
     """Cut table whose split is always ``nu = 0.5``, with that split's thresholds."""
 
-    def _split(self, length: int, previous: Optional[SplitSpec]) -> SplitSpec:
+    def split(self, length: int, hint: Optional[int] = None) -> SplitSpec:
         return _spec_for_split(length, length // 2, self.confidence, solved=False)
 
 
@@ -51,7 +51,9 @@ class _FixedSplitOptwin(Optwin):
     """OPTWIN variant that always splits the window 50/50 (ablation A2).
 
     It owns a private 50/50 table instead of the shared optimal one, so its
-    scalar and batched paths both read the fixed split.
+    scalar and batched paths both read the fixed split, and
+    :meth:`~Optwin.current_split` and :meth:`~Optwin.detectable_shift`
+    describe it.
     """
 
     def __init__(self, **kwargs: Any) -> None:

@@ -66,6 +66,7 @@ import numpy as np
 
 from repro.core.base import BatchResult, DriftDetector, as_value_array
 from repro.core.config import grid_config_hash
+from repro.core.ppf_tables import build_in_child
 from repro.exceptions import ConfigurationError, SnapshotError
 from repro.obs.journal import EventJournal
 from repro.obs.prom import UpdateTimings
@@ -382,8 +383,12 @@ class MonitorHub:
         :class:`DriftDetector` instance.  Registering an existing key raises
         unless ``exist_ok`` is set, in which case the existing monitor is
         kept when the requested configuration matches (the idempotent
-        re-register of a client reconnecting after a hub restart).  The
-        return value is :meth:`ShardedHub.register
+        re-register of a client reconnecting after a hub restart).  A new
+        OPTWIN configuration's cut table is built to ``w_max`` first, in a
+        forked child (about 0.3 s at ``w_max`` 5,000 plus the child's scipy
+        import); if that child fails, :class:`~repro.exceptions.ReproError`
+        is raised and nothing is registered.  The return value is
+        :meth:`ShardedHub.register
         <repro.serving.sharded.ShardedHub.register>`'s; :meth:`detector`
         returns the live detector object.
         """
@@ -410,7 +415,7 @@ class MonitorHub:
             entry = existing
         else:
             entry = _MonitorEntry(key[0], key[1], candidate)
-            self._add_entry(entry)
+            self._add_entries([entry])
         return {
             "detector": type(entry.detector).__name__,
             "n_seen": entry.detector.n_seen,
@@ -443,10 +448,23 @@ class MonitorHub:
             )
         return entry
 
-    def _add_entry(self, entry: _MonitorEntry) -> None:
-        key = (entry.tenant, entry.monitor_id)
-        self._entries[key] = entry
-        self._groups.setdefault(entry.group_key, []).append(key)
+    def _add_entries(self, entries: Sequence[_MonitorEntry]) -> None:
+        """Host ``entries``, after filling every cut table they read.
+
+        Each table is filled to the length its detector needs, in a forked
+        child (:func:`~repro.core.ppf_tables.build_in_child`), so no value
+        waits on a build and this process never imports scipy.  A failed
+        build raises :class:`~repro.exceptions.ReproError` before any entry
+        is added.
+        """
+        for entry in entries:
+            demand = entry.detector._table_demand()
+            if demand is not None:
+                build_in_child(*demand)
+        for entry in entries:
+            key = (entry.tenant, entry.monitor_id)
+            self._entries[key] = entry
+            self._groups.setdefault(entry.group_key, []).append(key)
 
     # ------------------------------------------------------------ relocation
 
@@ -475,10 +493,11 @@ class MonitorHub:
         transition flag, and the ``alert_seq`` counter, so the monitor's
         next alert continues the sequence the exporting hub left off at
         (exactly-once delivery survives the move).  A key that already
-        exists raises :class:`ConfigurationError` before anything is
-        adopted.  The hub's lifetime event count adopts each detector's
-        ``n_seen`` (and :meth:`forget_monitors` sheds it), keeping
-        cluster-wide ``n_events`` invariant across relocations.
+        exists, a corrupt record and a failed cut-table build (see
+        :meth:`register`) each raise before anything is adopted.  The hub's
+        lifetime event count adopts each detector's ``n_seen`` (and
+        :meth:`forget_monitors` sheds it), keeping cluster-wide
+        ``n_events`` invariant across relocations.
         """
         records = list(records)
         for record in records:
@@ -487,12 +506,12 @@ class MonitorHub:
                 raise ConfigurationError(
                     f"monitor {key[0]}/{key[1]} is already registered"
                 )
-        for record in records:
-            try:
-                entry = _monitor_entry(record)
-            except (KeyError, TypeError, ValueError) as exc:
-                raise SnapshotError(f"corrupt monitor export record: {exc}") from exc
-            self._add_entry(entry)
+        try:
+            entries = [_monitor_entry(record) for record in records]
+        except (KeyError, TypeError, ValueError) as exc:
+            raise SnapshotError(f"corrupt monitor export record: {exc}") from exc
+        self._add_entries(entries)
+        for entry in entries:
             n_seen = entry.detector.n_seen
             self._n_events += n_seen
             if self._wal is not None:
@@ -1124,12 +1143,12 @@ class MonitorHub:
             )
         try:
             self._n_events = int(document["n_events"])
-            for record in document["monitors"]:
-                entry = _monitor_entry(record)
-                self._add_entry(entry)
-                self._checkpoint_seq[(entry.tenant, entry.monitor_id)] = entry.alert_seq
+            entries = [_monitor_entry(record) for record in document["monitors"]]
         except (KeyError, TypeError, ValueError) as exc:
             raise SnapshotError(f"corrupt hub checkpoint {path}: {exc}") from exc
+        self._add_entries(entries)
+        for entry in entries:
+            self._checkpoint_seq[(entry.tenant, entry.monitor_id)] = entry.alert_seq
 
     def reshard(self, n_shards: int) -> Dict[str, Any]:
         """Always raises: only a :class:`~repro.serving.sharded.ShardedHub`

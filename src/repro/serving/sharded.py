@@ -75,12 +75,13 @@ import numpy as np
 
 from repro.core.base import DriftDetector
 from repro.core.config import grid_config_hash
+from repro.core.ppf_tables import build_in_child, get_cut_table
 from repro.exceptions import ConfigurationError, ShardError, SnapshotError
 from repro.obs.journal import EventJournal, check_limit
 from repro.obs.trace import TraceContext, Tracer
 from repro.serving.hub import Event, MonitorHub, ObserveResult, checked_chunk
 from repro.serving.sinks import DriftAlert, build_sinks
-from repro.serving.snapshot import atomic_write_json
+from repro.serving.snapshot import atomic_write_json, build_detector
 from repro.serving.wal import read_wal_head
 
 __all__ = [
@@ -259,10 +260,11 @@ def _worker_attach_shm(
 
 #: :class:`MonitorHub` methods a shard worker runs by name: a request
 #: ``(name, args)`` answers ``getattr(hub, name)(*args)``.  The loop itself
-#: handles ``ingest`` (values in shared memory), ``checkpoint`` (answers the
-#: manifest row), ``metrics`` (adds the shard index) and ``stop``; any other
-#: name is refused, so a stray request cannot reach ``close`` or a private
-#: attribute of the worker's hub.
+#: handles ``ingest`` (values in shared memory), ``adopt_table`` (a cut
+#: table the parent built), ``checkpoint`` (answers the manifest row),
+#: ``metrics`` (adds the shard index) and ``stop``; any other name is
+#: refused, so a stray request cannot reach ``close`` or a private attribute
+#: of the worker's hub.
 _WORKER_METHODS = frozenset(
     {
         "observe",
@@ -350,6 +352,10 @@ def _shard_worker_main(
                     ],
                     trace_ctx=ctx,
                 )
+            elif op == "adopt_table":
+                key, image = args
+                get_cut_table(*key).adopt(image)
+                result = None
             elif op == "checkpoint":
                 result = {"path": str(hub.checkpoint()), **hub.describe()}
             elif op == "metrics":
@@ -495,6 +501,9 @@ class ShardedHub:
         self._context = multiprocessing.get_context()
         self._closed = False
         self._registry: Dict[_MonitorKey, int] = {}
+        #: OPTWIN configuration -> length of the cut table handed to every
+        #: worker (see :meth:`_share_table`).
+        self._shared_tables: Dict[Tuple[float, float, Optional[float]], int] = {}
         self._assignment: List[int] = default_slot_assignment(n_shards)
         #: Alerts drained out of workers removed by a shrink, merged into
         #: the next :meth:`drain_alerts`; the dropped counter is the
@@ -1083,14 +1092,48 @@ class ShardedHub:
         instance (shipped to the worker via the bit-exact snapshot pickle).
         Unlike :meth:`MonitorHub.register` the live detector object stays
         inside the worker — shared-nothing means the parent never holds one.
+        A new OPTWIN configuration's cut table is built here, once for the
+        cluster (:meth:`_share_table`), before the worker sees the monitor.
         """
         key = (str(tenant), str(monitor_id))
         shard = self._assignment[route_slot(key[0], key[1])]
         if isinstance(params, Mapping):
             params = dict(params)  # a dict pickles; not every Mapping does
+        self._share_table(detector, params)
         info = self._call(shard, "register", key[0], key[1], detector, params, exist_ok)
         self._registry[key] = shard
         return info
+
+    def _share_table(
+        self,
+        detector: Union[str, DriftDetector],
+        params: Optional[Mapping[str, Any]],
+    ) -> None:
+        """Fill the shared cut table a monitor reads and hand it to every worker.
+
+        The table is built in a child of this process
+        (:func:`~repro.core.ppf_tables.build_in_child`) and adopted by every
+        live worker, so a configuration is built once per cluster; workers
+        forked later inherit it, and a dead worker's replacement is one of
+        them.  A table the detector owns privately, not the one
+        :func:`~repro.core.ppf_tables.get_cut_table` shares, is left to the
+        worker's hub.
+        """
+        if isinstance(detector, DriftDetector):
+            candidate = detector
+        else:
+            candidate = build_detector(detector, params)
+        demand = candidate._table_demand()
+        if demand is None:
+            return
+        table, length = demand
+        key = (table.rho, table.confidence, table.warning_confidence)
+        shared = get_cut_table(*key) is table
+        if not shared or self._shared_tables.get(key, 0) >= length:
+            return
+        build_in_child(table, length)
+        self._broadcast("adopt_table", key, table.image(), tolerate_dead=True)
+        self._shared_tables[key] = table.max_length
 
     def shard_of(self, tenant: str, monitor_id: str) -> int:
         """The shard the assignment table routes a key to (registered or not)."""

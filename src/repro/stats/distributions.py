@@ -6,13 +6,17 @@ The t and F functions delegate to :mod:`scipy.special` and validate their
 arguments with library-specific exceptions; they keep no cache (OPTWIN's cut
 tables store what they need, see :mod:`repro.core.ppf_tables`).  The normal
 CDF and PPF are computed here, from ``math.erf`` and Acklam's approximation.
+
+:mod:`scipy.special` is imported on the first t or F call, not with this
+module: importing it takes about 0.3 s and 20 MB, and a serving process
+needs none of it, because its hubs build OPTWIN's cut tables in a forked
+child (:func:`repro.core.ppf_tables.build_in_child`).
 """
 
 from __future__ import annotations
 
 import math
-
-from scipy import special as _scipy_special
+from typing import Any
 
 from repro.exceptions import ConfigurationError
 
@@ -24,6 +28,19 @@ __all__ = [
     "normal_ppf",
     "normal_cdf",
 ]
+
+
+_SPECIAL: Any = None
+
+
+def _special() -> Any:
+    """:mod:`scipy.special`, imported on first use."""
+    global _SPECIAL
+    if _SPECIAL is None:
+        from scipy import special
+
+        _SPECIAL = special
+    return _SPECIAL
 
 
 def _validate_confidence(confidence: float) -> None:
@@ -84,7 +101,7 @@ def t_ppf(confidence: float, df: float) -> float:
         raise ConfigurationError(f"degrees of freedom must be > 0, got {df}")
     # scipy.special.stdtrit is the direct (and much faster) equivalent of
     # scipy.stats.t.ppf for scalar arguments.
-    return float(_scipy_special.stdtrit(df, confidence))
+    return float(_special().stdtrit(df, confidence))
 
 
 def f_ppf(confidence: float, dfn: float, dfd: float) -> float:
@@ -102,14 +119,14 @@ def f_ppf(confidence: float, dfn: float, dfd: float) -> float:
         raise ConfigurationError(
             f"degrees of freedom must be > 0, got dfn={dfn}, dfd={dfd}"
         )
-    return float(_scipy_special.fdtri(dfn, dfd, confidence))
+    return float(_special().fdtri(dfn, dfd, confidence))
 
 
 def t_cdf(x: float, df: float) -> float:
     """CDF of the Student-t distribution."""
     if df <= 0:
         raise ConfigurationError(f"degrees of freedom must be > 0, got {df}")
-    return float(_scipy_special.stdtr(df, x))
+    return float(_special().stdtr(df, x))
 
 
 def f_cdf(x: float, dfn: float, dfd: float) -> float:
@@ -120,4 +137,4 @@ def f_cdf(x: float, dfn: float, dfd: float) -> float:
         )
     if x <= 0:
         return 0.0
-    return float(_scipy_special.fdtr(dfn, dfd, x))
+    return float(_special().fdtr(dfn, dfd, x))

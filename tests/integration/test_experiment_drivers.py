@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro import Optwin
+from repro.core.optimal_cut import detectable_rho
 from repro.evaluation.reporting import format_accuracy_table, format_detection_rows
 from repro.experiments import ablations, figures, runtime, significance, table1, table2
 
@@ -137,6 +138,23 @@ class TestAblationsAndRuntime:
         # The variant reads its own 50/50 table; the shared table is untouched.
         assert scalar._cut_table.n_hist[1_001] == 500
         assert Optwin(rho=0.5)._cut_table is not scalar._cut_table
+
+    def test_fixed_split_variant_describes_the_split_it_tests_at(self):
+        values = (np.random.default_rng(8).random(1_000) < 0.2).astype(float)
+        detector = ablations._FixedSplitOptwin(rho=0.5)
+        last = detector.update_batch(values, collect_stats=True).results[-1]
+        assert detector.window_size == 1_000
+        split = detector.current_split()
+        assert split.nu_split == last.statistics["nu_split"] == 500
+        assert split.f_critical == last.statistics["f_critical"]
+        assert split.t_critical == last.statistics["t_critical"]
+        assert detector.detectable_shift() == detectable_rho(
+            500, 500, detector.config.delta_prime
+        )
+        # The optimal variant still reports the optimal split.
+        optimal = Optwin(rho=0.5)
+        optimal.update_batch(values)
+        assert optimal.current_split().nu_split > 500
 
     def test_rho_sensitivity_orders_delay(self):
         summaries = ablations.run_rho_sensitivity(
