@@ -18,7 +18,9 @@ window grows.  The serving hubs instead fill a table to the detector's
 build runs in an ``os.fork`` child, which alone imports :mod:`scipy.special`
 for the PPFs, and hands the five arrays back through a pipe.  A
 :class:`~repro.serving.sharded.ShardedHub` builds once in its own process
-and passes the result to its workers as a :data:`TableImage`.
+and passes the result to its workers as a :data:`TableImage`; resuming, it
+builds the tables its manifest lists before it forks them
+(:func:`shared_demand` tells which tables a detector shares).
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ import signal
 import struct
 import sys
 import threading
-from typing import Dict, NoReturn, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, NoReturn, Optional, Tuple
 
 import numpy as np
 
@@ -36,7 +38,17 @@ from repro.core.optimal_cut import SplitSpec, optimal_split
 from repro.exceptions import ConfigurationError, ReproError
 from repro.stats.distributions import f_ppf, t_ppf
 
-__all__ = ["CutTable", "TableImage", "build_in_child", "get_cut_table"]
+if TYPE_CHECKING:
+    from repro.core.base import DriftDetector
+
+__all__ = [
+    "CutTable",
+    "TableImage",
+    "TableKey",
+    "build_in_child",
+    "get_cut_table",
+    "shared_demand",
+]
 
 #: Shortest window :func:`optimal_split` accepts; shorter entries stay zero.
 _MIN_LENGTH = 4
@@ -166,7 +178,11 @@ def _check_length(max_length: int) -> None:
         )
 
 
-_TABLES: Dict[Tuple[float, float, Optional[float]], CutTable] = {}
+#: A shared table's :func:`get_cut_table` key:
+#: ``(rho, confidence, warning_confidence)``.
+TableKey = Tuple[float, float, Optional[float]]
+
+_TABLES: Dict[TableKey, CutTable] = {}
 
 
 def get_cut_table(
@@ -179,6 +195,21 @@ def get_cut_table(
         # setdefault is atomic, so racing callers share the first table.
         table = _TABLES.setdefault(key, CutTable(rho, confidence, warning_confidence))
     return table
+
+
+def shared_demand(detector: "DriftDetector") -> Optional[Tuple[TableKey, int]]:
+    """The key of the process-wide table ``detector`` reads, and the length
+    it needs filled.
+
+    ``None`` for a detector that reads no table, or a table of its own (such
+    as the half-split ablation's) that only its process can fill.
+    """
+    demand = detector._table_demand()
+    if demand is None:
+        return None
+    table, length = demand
+    key = (table.rho, table.confidence, table.warning_confidence)
+    return (key, length) if _TABLES.get(key) is table else None
 
 
 # ------------------------------------------------------ build in a child

@@ -9,14 +9,14 @@ restarted process resumes every monitor bit-exactly where it stopped.
 Design points:
 
 * **Batched ingestion** — :meth:`MonitorHub.ingest` accepts an arbitrary
-  interleaving of per-monitor events, buffers them per monitor, and flushes
-  each monitor's buffer with a single ``update_batch`` call (grouped so that
-  same-configured monitors flush consecutively and share per-configuration
-  caches such as OPTWIN's cut tables).  This is what turns one-Python-call-
-  per-event serving into vectorised serving; ``perfbench/`` measures it
-  end to end over the wire, layer by layer.  Every payload is converted to
-  float64 before any monitor is fed, so a malformed one fails the whole
-  call with nothing applied.
+  interleaving of per-monitor events, checks them in request order into one
+  float64 chunk per monitor (:func:`checked_events`, which
+  :class:`~repro.serving.sharded.ShardedHub` runs too), and feeds each
+  monitor its chunk with a single ``update_batch`` call, in the order of the
+  monitors' first events.  This is what turns one-Python-call-per-event
+  serving into vectorised serving; ``perfbench/`` measures it end to end
+  over the wire, layer by layer.  The first unknown monitor or malformed
+  payload fails the whole call with nothing applied.
 * **Checkpoint/restore** — :meth:`MonitorHub.checkpoint` writes one JSON
   document (schema-versioned, atomic tmp-file + ``os.replace``) containing a
   bit-exact snapshot of every detector plus a config hash of the hub
@@ -45,12 +45,12 @@ from __future__ import annotations
 
 import json
 import logging
-import numbers
 import time
 from dataclasses import dataclass
 from pathlib import Path
 from typing import (
     Any,
+    Container,
     Dict,
     Iterable,
     Iterator,
@@ -66,7 +66,7 @@ import numpy as np
 
 from repro.core.base import BatchResult, DriftDetector, as_value_array
 from repro.core.config import grid_config_hash
-from repro.core.ppf_tables import build_in_child
+from repro.core.ppf_tables import TableKey, build_in_child, shared_demand
 from repro.exceptions import ConfigurationError, SnapshotError
 from repro.obs.journal import EventJournal
 from repro.obs.prom import UpdateTimings
@@ -146,7 +146,7 @@ class _MonitorEntry:
         "tenant",
         "monitor_id",
         "detector",
-        "group_key",
+        "config_key",
         "in_warning",
         "alert_seq",
         "timing_recorder",
@@ -163,7 +163,7 @@ class _MonitorEntry:
         self.tenant = tenant
         self.monitor_id = monitor_id
         self.detector = detector
-        self.group_key = _group_key(detector)
+        self.config_key = _config_key(detector)
         self.in_warning = in_warning
         #: Sequence number of this monitor's most recently *assigned* alert
         #: (1-based; 0 = never alerted).  Deterministic: a restored monitor
@@ -173,54 +173,50 @@ class _MonitorEntry:
         self.timing_recorder: Optional[Any] = None
 
 
-def _checked_values(key: _MonitorKey, payload: Any) -> Union[float, "np.ndarray"]:
-    """One payload as a float (a real scalar) or a 1-d float64 chunk.
+def checked_chunk(key: _MonitorKey, payload: Any) -> "np.ndarray":
+    """One monitor's payload as a 1-d float64 chunk.
 
-    Scalars stay Python floats so that runs of scalar events coalesce into
-    one array.  Anything else goes through
-    :func:`~repro.core.base.as_value_array`, the input rule of every
-    detector's ``update_batch``; a payload it refuses (a string, a mapping,
-    ``None`` bare or in a list, a nested or ragged list) raises
-    :class:`ConfigurationError` naming the monitor.
+    The payload goes through :func:`~repro.core.base.as_value_array`, the
+    input rule of every detector's ``update_batch``; one it refuses (a
+    string, a mapping, ``None`` bare or in a list, a nested or ragged list)
+    raises :class:`ConfigurationError` naming the monitor.
     """
-    if isinstance(payload, (numbers.Real, np.bool_)):
-        return float(payload)
     try:
         return as_value_array(payload)
     except TypeError as exc:
         raise ConfigurationError(f"monitor {key[0]}/{key[1]}: {exc}") from None
 
 
-def _coalesce(parts: List[Union[float, "np.ndarray"]]) -> "np.ndarray":
-    """Concatenate checked payloads (floats and chunks) in order."""
-    if len(parts) == 1:
-        part = parts[0]
-        if isinstance(part, float):
-            return np.asarray([part], dtype=np.float64)
-        return part
-    arrays: List["np.ndarray"] = []
-    scalars: List[float] = []
-    for part in parts:
-        if isinstance(part, float):
-            scalars.append(part)
-            continue
-        if scalars:
-            arrays.append(np.asarray(scalars, dtype=np.float64))
-            scalars = []
-        arrays.append(part)
-    if scalars:
-        arrays.append(np.asarray(scalars, dtype=np.float64))
-    return np.concatenate(arrays)
+def unknown_monitor(key: _MonitorKey) -> ConfigurationError:
+    """The error of a request that names a monitor no hub registered."""
+    return ConfigurationError(f"unknown monitor {'/'.join(key)}; register it first")
 
 
-def checked_chunk(key: _MonitorKey, payload: Any) -> "np.ndarray":
-    """One monitor's payload as a 1-d float64 chunk; raises
-    :class:`ConfigurationError` naming the monitor when it does not convert."""
-    return _coalesce([_checked_values(key, payload)])
+def checked_events(
+    events: Iterable[Event], known: Container[_MonitorKey]
+) -> Dict[_MonitorKey, "np.ndarray"]:
+    """Check an ``ingest`` batch in request order; one chunk per monitor.
+
+    The first event whose monitor is not in ``known``, or whose payload
+    :func:`checked_chunk` refuses, raises :class:`ConfigurationError`, so a
+    refused batch feeds nothing.  Each monitor's payloads are concatenated
+    in request order, and the monitors come in the order of their first
+    events.
+    """
+    parts: Dict[_MonitorKey, List["np.ndarray"]] = {}
+    for tenant, monitor_id, payload in events:
+        key = (str(tenant), str(monitor_id))
+        if key not in known:
+            raise unknown_monitor(key)
+        parts.setdefault(key, []).append(checked_chunk(key, payload))
+    return {
+        key: chunks[0] if len(chunks) == 1 else np.concatenate(chunks)
+        for key, chunks in parts.items()
+    }
 
 
-def _group_key(detector: DriftDetector) -> str:
-    """Configuration identity used to group same-configured monitors."""
+def _config_key(detector: DriftDetector) -> str:
+    """Configuration identity: class name and canonical constructor config."""
     return json.dumps(
         {"detector": type(detector).__name__, "config": sanitize(detector._config_dict())},
         sort_keys=True,
@@ -325,9 +321,6 @@ class MonitorHub:
         self._sinks: List[AlertSink] = [*sinks, self._alerts]
         self._checkpoint_every = checkpoint_every
         self._entries: Dict[_MonitorKey, _MonitorEntry] = {}
-        #: group key → monitor keys, in registration order; flush order of
-        #: :meth:`ingest` so same-configured monitors run consecutively.
-        self._groups: Dict[str, List[_MonitorKey]] = {}
         self._n_events = 0
         self._events_since_checkpoint = 0
         self._n_sink_failures = 0
@@ -407,7 +400,7 @@ class MonitorHub:
                 raise ConfigurationError(
                     f"monitor {key[0]}/{key[1]} is already registered"
                 )
-            if existing.group_key != _group_key(candidate):
+            if existing.config_key != _config_key(candidate):
                 raise ConfigurationError(
                     f"monitor {key[0]}/{key[1]} exists with a different "
                     "detector configuration"
@@ -441,11 +434,10 @@ class MonitorHub:
         return self._entry(tenant, monitor_id).detector
 
     def _entry(self, tenant: str, monitor_id: str) -> _MonitorEntry:
-        entry = self._entries.get((str(tenant), str(monitor_id)))
+        key = (str(tenant), str(monitor_id))
+        entry = self._entries.get(key)
         if entry is None:
-            raise ConfigurationError(
-                f"unknown monitor {tenant}/{monitor_id}; register it first"
-            )
+            raise unknown_monitor(key)
         return entry
 
     def _add_entries(self, entries: Sequence[_MonitorEntry]) -> None:
@@ -462,9 +454,7 @@ class MonitorHub:
             if demand is not None:
                 build_in_child(*demand)
         for entry in entries:
-            key = (entry.tenant, entry.monitor_id)
-            self._entries[key] = entry
-            self._groups.setdefault(entry.group_key, []).append(key)
+            self._entries[(entry.tenant, entry.monitor_id)] = entry
 
     # ------------------------------------------------------------ relocation
 
@@ -536,14 +526,6 @@ class MonitorHub:
             entry = self._entries.pop(key, None)
             if entry is None:
                 continue
-            group = self._groups.get(entry.group_key)
-            if group is not None:
-                try:
-                    group.remove(key)
-                except ValueError:
-                    pass
-                if not group:
-                    del self._groups[entry.group_key]
             self._n_events = max(0, self._n_events - entry.detector.n_seen)
             self._checkpoint_seq.pop(key, None)
             self._replayed_through.pop(key, None)
@@ -600,43 +582,29 @@ class MonitorHub:
     ) -> List[ObserveResult]:
         """Feed an interleaved batch of events through the vectorised paths.
 
-        Events for the same monitor keep their relative order; each monitor's
-        buffered values are flushed with a single ``update_batch`` call, and
-        monitors flush group by group so same-configured detectors run
-        consecutively.  Returns one :class:`ObserveResult` per monitor that
-        received data, in flush order.  ``trace_ctx`` stitches this flush
-        under a front-end's span (a sharded fan-out, the TCP server's
-        request span); without one the hub's own tracer samples a root.
+        :func:`checked_events` turns the batch into one chunk per monitor,
+        each monitor's events concatenated in request order, and each chunk
+        is fed with a single ``update_batch`` call.  Returns one
+        :class:`ObserveResult` per monitor that received data, in the order
+        of the monitors' first events, which is also the order of their
+        alerts and WAL records.  ``trace_ctx`` stitches this flush under a
+        front-end's span (a sharded fan-out, the TCP server's request span);
+        without one the hub's own tracer samples a root.
 
-        The call is all-or-nothing up to the detectors: an unknown monitor
-        or a payload that does not convert to float64 raises
-        :class:`ConfigurationError` before any monitor is fed.  A sampled
-        ``hub.ingest`` span ends on every path; a call that raises records
-        the exception's message as the span's ``error`` argument.
+        The call is all-or-nothing up to the detectors: the first unknown
+        monitor or payload that does not convert to float64, in request
+        order, raises :class:`ConfigurationError` before any monitor is fed.
+        A sampled ``hub.ingest`` span ends on every path; a call that raises
+        records the exception's message as the span's ``error`` argument.
         """
-        # Convert whole payloads (scalars or chunks) per monitor up front and
-        # coalesce once at flush time — per-element Python conversion here
-        # would cost more than the vectorised detector work it feeds.
         span = self._tracer.begin("hub.ingest", trace_ctx)
         started = time.perf_counter()
-        buffers: Dict[_MonitorKey, List[Union[float, "np.ndarray"]]] = {}
         try:
-            for tenant, monitor_id, payload in events:
-                key = (str(tenant), str(monitor_id))
-                if key not in self._entries:
-                    raise ConfigurationError(
-                        f"unknown monitor {key[0]}/{key[1]}; register it first"
-                    )
-                buffers.setdefault(key, []).append(_checked_values(key, payload))
+            chunks = checked_events(events, self._entries)
             return self._flush(
                 span,
                 started,
-                (
-                    (self._entries[key], _coalesce(buffers[key]))
-                    for keys in self._groups.values()
-                    for key in keys
-                    if key in buffers
-                ),
+                ((self._entries[key], chunk) for key, chunk in chunks.items()),
             )
         except Exception as exc:
             if span is not None:
@@ -1072,7 +1040,7 @@ class MonitorHub:
         monitors hash identically regardless of registration order.
         """
         tokens = sorted(
-            (entry.tenant, entry.monitor_id, entry.group_key)
+            (entry.tenant, entry.monitor_id, entry.config_key)
             for entry in self._entries.values()
         )
         return grid_config_hash({"monitors": [list(token) for token in tokens]})
@@ -1083,12 +1051,22 @@ class MonitorHub:
 
     def describe(self) -> Dict[str, Any]:
         """The hub's row of a cluster manifest: composition hash, lifetime
-        event count, monitor count and :meth:`wal_head`."""
+        event count, monitor count, :meth:`wal_head`, and the shared cut
+        tables its monitors read, each as ``[rho, confidence,
+        warning_confidence, length]`` (see :func:`~repro.core.ppf_tables.
+        shared_demand`)."""
+        tables: Dict[TableKey, int] = {}
+        for entry in self._entries.values():
+            demand = shared_demand(entry.detector)
+            if demand is not None:
+                key, length = demand
+                tables[key] = max(length, tables.get(key, 0))
         return {
             "config_hash": self.composition_hash(),
             "n_events": self._n_events,
             "n_monitors": len(self._entries),
             "wal": self.wal_head(),
+            "tables": [[*key, length] for key, length in tables.items()],
         }
 
     def checkpoint(self) -> Path:

@@ -32,7 +32,8 @@ process.  :class:`ShardedHub` removes that ceiling by partitioning the
   ``shard-NN/hub-checkpoint.json`` written with the hub's atomic snapshot
   machinery, and :meth:`ShardedHub.checkpoint` records a
   ``cluster-manifest.json`` with the shard count, the assignment table, and
-  per-shard composition hashes.  ``kill -9`` of any worker loses nothing
+  per-shard composition hashes and shared cut tables (which a cold restart
+  builds before it forks the workers).  ``kill -9`` of any worker loses nothing
   past that shard's last checkpoint (:meth:`respawn_shard` resumes it
   bit-exactly), and opening a checkpoint directory whose manifest disagrees
   with the requested layout raises
@@ -75,11 +76,18 @@ import numpy as np
 
 from repro.core.base import DriftDetector
 from repro.core.config import grid_config_hash
-from repro.core.ppf_tables import build_in_child, get_cut_table
+from repro.core.ppf_tables import TableKey, build_in_child, get_cut_table, shared_demand
 from repro.exceptions import ConfigurationError, ShardError, SnapshotError
 from repro.obs.journal import EventJournal, check_limit
 from repro.obs.trace import TraceContext, Tracer
-from repro.serving.hub import Event, MonitorHub, ObserveResult, checked_chunk
+from repro.serving.hub import (
+    Event,
+    MonitorHub,
+    ObserveResult,
+    checked_chunk,
+    checked_events,
+    unknown_monitor,
+)
 from repro.serving.sinks import DriftAlert, build_sinks
 from repro.serving.snapshot import atomic_write_json, build_detector
 from repro.serving.wal import read_wal_head
@@ -186,6 +194,33 @@ def _dead_shard_error(index: int, exc: BaseException) -> ShardError:
     )
     error.__cause__ = exc
     return error
+
+
+#: The JSON types of a manifest cut-table entry's fields: ``[rho,
+#: confidence, warning_confidence or null, length]``.
+_TABLE_FIELD_TYPES = ((int, float), (int, float), (int, float, type(None)), (int,))
+
+
+def _manifest_tables(rows: Iterable[Mapping[str, Any]]) -> Dict[TableKey, int]:
+    """The cut tables the manifest's shard rows list, each at its longest length.
+
+    A row written before rows listed their tables lists none; a malformed
+    entry raises :class:`SnapshotError`.
+    """
+    tables: Dict[TableKey, int] = {}
+    for row in rows:
+        for entry in row.get("tables", []):
+            if not isinstance(entry, list) or len(entry) != 4 or any(
+                type(value) not in types
+                for value, types in zip(entry, _TABLE_FIELD_TYPES)
+            ):
+                raise SnapshotError(
+                    f"cluster manifest lists a malformed cut table {entry!r}"
+                )
+            rho, confidence, warning_confidence, length = entry
+            key = (rho, confidence, warning_confidence)
+            tables[key] = max(length, tables.get(key, 0))
+    return tables
 
 
 def _sums(replies: List[Dict[str, Any]], fields: Sequence[str]) -> Dict[str, Any]:
@@ -501,9 +536,9 @@ class ShardedHub:
         self._context = multiprocessing.get_context()
         self._closed = False
         self._registry: Dict[_MonitorKey, int] = {}
-        #: OPTWIN configuration -> length of the cut table handed to every
-        #: worker (see :meth:`_share_table`).
-        self._shared_tables: Dict[Tuple[float, float, Optional[float]], int] = {}
+        #: OPTWIN configuration -> length of the cut table every worker holds
+        #: (see :meth:`_share_table`).
+        self._shared_tables: Dict[TableKey, int] = {}
         self._assignment: List[int] = default_slot_assignment(n_shards)
         #: Alerts drained out of workers removed by a shrink, merged into
         #: the next :meth:`drain_alerts`; the dropped counter is the
@@ -554,7 +589,8 @@ class ShardedHub:
     # ------------------------------------------------------------- lifecycle
 
     def _resume_plan(self) -> Optional[Dict[str, Any]]:
-        """Read the manifest into a resume plan (assignment + provenance).
+        """Read the manifest into a resume plan (assignment + provenance),
+        and fill the shared cut tables its shard rows list.
 
         The plan carries the authoritative slot table plus the legitimate
         *alternative* locations a stale copy of a monitor may be found in:
@@ -615,6 +651,11 @@ class ShardedHub:
         if prev:
             plan["prev"] = self._checked_assignment(prev, "prev_assignment")
         self._validate_wal_heads(manifest)
+        # Before any worker forks: the workers inherit these tables instead
+        # of building their own while they resume.
+        for key, length in _manifest_tables(manifest.get("shards", [])).items():
+            build_in_child(get_cut_table(*key), length)
+            self._shared_tables[key] = length
         return plan
 
     def _checked_assignment(
@@ -1115,22 +1156,20 @@ class ShardedHub:
         (:func:`~repro.core.ppf_tables.build_in_child`) and adopted by every
         live worker, so a configuration is built once per cluster; workers
         forked later inherit it, and a dead worker's replacement is one of
-        them.  A table the detector owns privately, not the one
-        :func:`~repro.core.ppf_tables.get_cut_table` shares, is left to the
-        worker's hub.
+        them.  A table the detector owns privately is left to the worker's
+        hub (see :func:`~repro.core.ppf_tables.shared_demand`).
         """
         if isinstance(detector, DriftDetector):
             candidate = detector
         else:
             candidate = build_detector(detector, params)
-        demand = candidate._table_demand()
+        demand = shared_demand(candidate)
         if demand is None:
             return
-        table, length = demand
-        key = (table.rho, table.confidence, table.warning_confidence)
-        shared = get_cut_table(*key) is table
-        if not shared or self._shared_tables.get(key, 0) >= length:
+        key, length = demand
+        if self._shared_tables.get(key, 0) >= length:
             return
+        table = get_cut_table(*key)
         build_in_child(table, length)
         self._broadcast("adopt_table", key, table.image(), tolerate_dead=True)
         self._shared_tables[key] = table.max_length
@@ -1169,9 +1208,7 @@ class ShardedHub:
         key = (str(tenant), str(monitor_id))
         shard = self._registry.get(key)
         if shard is None:
-            raise ConfigurationError(
-                f"unknown monitor {key[0]}/{key[1]}; register it first"
-            )
+            raise unknown_monitor(key)
         return key, shard
 
     # ------------------------------------------------------------- ingestion
@@ -1237,18 +1274,19 @@ class ShardedHub:
     ) -> List[ObserveResult]:
         """Fan an interleaved event batch out as one message per shard.
 
-        Events for the same monitor keep their relative order inside their
-        shard's message, so each worker's ``MonitorHub.ingest`` sees exactly
-        the per-monitor sequences a single hub would have seen — detections
-        are bit-identical to the unsharded run.  Results aggregate in shard
-        order (within a shard, the worker hub's flush order).
+        :func:`~repro.serving.hub.checked_events` checks the batch as
+        :meth:`MonitorHub.ingest` checks it: the first unknown monitor or
+        payload the float conversion rejects, in request order, raises
+        before anything is sent.  Its one chunk per monitor is split by
+        shard, so each worker's ``MonitorHub.ingest`` feeds every monitor
+        the values a single hub would have fed it — detections are
+        bit-identical to the unsharded run.  Results aggregate in shard
+        order, and within a shard in the order of the monitors' first
+        events.
 
         Each shard's values are staged in its shared-memory segment and only
         ``(segment, offsets)`` descriptors cross the pipe; the worker reads
-        the floats zero-copy.  Events are checked in order, as
-        :meth:`MonitorHub.ingest` checks them: the first unknown monitor or
-        payload the float conversion rejects raises, before anything is
-        sent.
+        the floats zero-copy.
 
         When the parent tracer samples this batch (or ``trace_ctx`` hands an
         already-open trace down), the span's context rides every shard's
@@ -1258,11 +1296,8 @@ class ShardedHub:
         span = self._tracer.begin("hub.fan_out", trace_ctx)
         try:
             per_shard: Dict[int, List[Tuple[str, str, "np.ndarray"]]] = {}
-            for tenant, monitor_id, payload in events:
-                key, shard = self._shard_for(tenant, monitor_id)
-                per_shard.setdefault(shard, []).append(
-                    (key[0], key[1], checked_chunk(key, payload))
-                )
+            for key, chunk in checked_events(events, self._registry).items():
+                per_shard.setdefault(self._registry[key], []).append((*key, chunk))
             if not per_shard:
                 return []
             ctx = span.context() if span is not None else None
@@ -1523,6 +1558,7 @@ class ShardedHub:
                     "n_events": report["n_events"],
                     "n_monitors": report["n_monitors"],
                     "wal": report.get("wal"),
+                    "tables": report["tables"],
                 }
                 for index, report in enumerate(reports)
             ],

@@ -9,8 +9,10 @@ scipy, and prints what it found as one JSON line:
   :class:`~repro.serving.MonitorHub` and a 2-shard
   :class:`~repro.serving.ShardedHub`, then checkpoints the sharded hub;
 * ``restart`` resumes that hub cold from its checkpoints in another fresh
-  interpreter, whose process never built the table, so each worker builds
-  its own through a child, and feeds the rest of the stream.
+  interpreter.  The parent builds the table the cluster manifest lists, in
+  a child, before it forks the workers, which inherit it; registering the
+  restored configuration again builds nothing.  Then it feeds the rest of
+  the stream.
 
 Detections of every monitor must equal a scalar ``Optwin.update()`` run.
 """
@@ -44,6 +46,8 @@ import sys
 
 import numpy as np
 
+from repro import Optwin
+from repro.core import ppf_tables
 from repro.serving import MonitorHub, ShardedHub
 
 phase, checkpoint_dir = sys.argv[1], sys.argv[2]
@@ -51,6 +55,27 @@ params = json.loads(sys.argv[3])
 split = int(sys.argv[4])
 rates = np.repeat([0.15, 0.6, 0.15, 0.6], 1_000)
 values = (np.random.default_rng(11).random(rates.size) < rates).astype(float)
+report = {"builds": [], "table_length_at_spawn": []}
+
+
+def table_length():
+    return Optwin(**params)._cut_table.max_length
+
+
+def counted_build(table, max_length, build=ppf_tables._image_from_child):
+    report["builds"].append(max_length)
+    return build(table, max_length)
+
+
+def recording_spawn(hub, index, resume, spawn=ShardedHub._spawn):
+    report["table_length_at_spawn"].append(table_length())
+    spawn(hub, index, resume)
+
+
+# Only this process's builds are counted: forked workers count in their own
+# copies of the list.
+ppf_tables._image_from_child = counted_build
+ShardedHub._spawn = recording_spawn
 
 
 def scipy_modules():
@@ -69,8 +94,8 @@ def scipy_mappings(pid):
     return sorted(found)
 
 
-report = {}
-# The workers fork before any table exists in this process.
+# In the serve phase the workers fork before any table exists in this
+# process; a cold restart first builds the table the manifest lists.
 sharded = ShardedHub(2, checkpoint_dir=checkpoint_dir)
 if phase == "serve":
     hub = MonitorHub()
@@ -78,10 +103,10 @@ if phase == "serve":
     report["single"] = hub.observe("t", "single", values).drift_positions
     hub.close()
 else:
-    from repro import Optwin
-
-    # This process never built the table: the restored workers did.
-    report["parent_table_length"] = Optwin(**params)._cut_table.max_length
+    report["parent_table_length"] = table_length()
+    report["restart_builds"] = list(report["builds"])
+    sharded.register("t", "m0", "OPTWIN", params, exist_ok=True)
+    sharded.register("t", "extra", "OPTWIN", params)
 with sharded:
     keys = [("t", f"m{index}") for index in range(6)]
     assert {sharded.shard_of(*key) for key in keys} == {0, 1}
@@ -139,7 +164,14 @@ def test_no_serving_process_loads_scipy(tmp_path):
         assert report["modules"] == []
         assert report["hub_maps"] == []
         assert report["worker_maps"] == [[], []]
-    assert restarted["parent_table_length"] == 3
+    assert served["table_length_at_spawn"] == [3, 3]
+    assert served["builds"] == [PARAMS["w_max"]]
+    # The cold restart built the manifest's table once, in the parent,
+    # before either worker forked, and the registers built nothing more.
+    assert restarted["table_length_at_spawn"] == [PARAMS["w_max"]] * 2
+    assert restarted["parent_table_length"] == PARAMS["w_max"]
+    assert restarted["restart_builds"] == [PARAMS["w_max"]]
+    assert restarted["builds"] == [PARAMS["w_max"]]
 
     expected = _scalar_drifts()
     assert expected, "the stream must drift for the comparison to mean anything"

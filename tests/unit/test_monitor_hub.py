@@ -22,6 +22,7 @@ from repro.serving import (
     MonitorHub,
     QueueSink,
 )
+from repro.serving.wal import AlertWal
 from repro.streams.error_streams import BinarySegment, binary_error_stream
 
 VALUES = binary_error_stream(
@@ -122,6 +123,37 @@ def test_ingest_groups_and_preserves_per_monitor_order():
     direct.register("acme", "search", "OPTWIN", {"w_max": 2000})
     expected = direct.observe("acme", "search", VALUES[:600])
     assert by_key[("acme", "search")].drift_positions == expected.drift_positions
+
+
+def test_ingest_feeds_monitors_in_first_event_order(tmp_path):
+    """Results and WAL watermarks follow each monitor's first event in the
+    request, whatever the monitors' configurations."""
+    hub = MonitorHub(wal_dir=tmp_path)
+    hub.register("t", "optwin-a", "OPTWIN", {"w_max": 500})
+    hub.register("t", "ddm", "DDM")
+    hub.register("t", "optwin-b", "OPTWIN", {"w_max": 500})
+    events = [
+        ("t", "optwin-b", VALUES[:100]),
+        ("t", "ddm", VALUES[:50]),
+        ("t", "optwin-a", VALUES[:10]),
+        ("t", "optwin-b", VALUES[100:200]),
+        ("t", "ddm", VALUES[50:100]),
+    ]
+    results = hub.ingest(events)
+    hub.close()
+    assert [(r.monitor_id, r.n_processed) for r in results] == [
+        ("optwin-b", 200),
+        ("ddm", 100),
+        ("optwin-a", 10),
+    ]
+    wal = AlertWal(tmp_path)
+    watermarks = [
+        (record["monitor_id"], record["n_seen"])
+        for record in wal.iter_records()
+        if record["t"] == "watermark"
+    ]
+    wal.close()
+    assert watermarks == [("optwin-b", 200), ("ddm", 100), ("optwin-a", 10)]
 
 
 def test_ingest_rejects_unregistered_monitor():

@@ -6,8 +6,9 @@ single-process hub, the ``limit`` validation of the ``events`` and
 ``alerts_history`` ops, the ``since``/``until`` bounds of
 ``alerts_history``, the ``detector``/``params`` fields of ``register``, and
 the decode and value boundary (undecodable lines, non-finite literals,
-malformed payloads), on both hubs.  One socket test checks that a
-connection keeps answering after undecodable lines.
+malformed payloads), and one ingest of every payload form, on both hubs.
+One socket test checks that a connection keeps answering after
+undecodable lines.
 """
 
 from __future__ import annotations
@@ -19,6 +20,8 @@ import reprlib
 
 import pytest
 
+from repro import Optwin
+from repro.detectors import Ddm
 from repro.exceptions import ConfigurationError
 from repro.serving import MonitorHub, ServingServer, ShardedHub
 from repro.serving.server import MAX_NESTING
@@ -347,3 +350,40 @@ def test_no_decoded_payload_list_is_alive_while_the_hub_ingests(server, monkeypa
     assert response["ok"], response
     assert [result["n"] for result in response["results"]] == [2 * length]
     assert alive == [0]
+
+
+def _mixed_events(values):
+    """All of ``values`` for two monitors in one request: ``mixed`` gets
+    each stretch as a scalar, a list, an ndarray and a generator in turn,
+    interleaved with ``other``'s lists and ndarrays."""
+    events = []
+    for start in range(0, len(values), 16):
+        piece = values[start : start + 16]
+        events += [
+            ("t", "mixed", float(piece[0])),
+            ("t", "other", piece[:8].tolist()),
+            ("t", "mixed", piece[1:6].tolist()),
+            ("t", "mixed", piece[6:11]),
+            ("t", "other", piece[8:]),
+            ("t", "mixed", (value for value in piece[11:])),
+        ]
+    return events
+
+
+def test_every_payload_form_in_one_ingest_equals_a_scalar_run(hub):
+    """Each monitor is fed its payloads in request order, whatever their
+    form, and on a 2-shard hub the two monitors sit on different shards."""
+    hub.register("t", "mixed", "OPTWIN", {"w_max": 500})
+    hub.register("t", "other", "DDM")
+    if isinstance(hub, ShardedHub):
+        assert {hub.shard_of("t", "mixed"), hub.shard_of("t", "other")} == {0, 1}
+    results = {r.monitor_id: r for r in hub.ingest(_mixed_events(DRIFTING))}
+    for monitor, detector in (("mixed", Optwin(w_max=500)), ("other", Ddm())):
+        updates = [detector.update(value) for value in DRIFTING]
+        drifts = [i for i, update in enumerate(updates) if update.drift_detected]
+        assert drifts, monitor
+        assert results[monitor].n_processed == len(DRIFTING)
+        assert results[monitor].drift_positions == drifts
+        assert results[monitor].warning_positions == [
+            i for i, update in enumerate(updates) if update.warning_detected
+        ]

@@ -14,6 +14,7 @@ import json
 
 import pytest
 
+from repro import Optwin
 from repro.detectors import Ddm
 from repro.exceptions import ConfigurationError, ShardError, SnapshotError
 from repro.serving import (
@@ -22,6 +23,7 @@ from repro.serving import (
     MonitorHub,
     ShardedHub,
 )
+from repro.experiments.ablations import _FixedSplitOptwin
 from repro.streams.error_streams import BinarySegment, binary_error_stream
 
 VALUES = binary_error_stream(
@@ -205,6 +207,71 @@ def test_checkpoint_writes_manifest_and_shard_files(sharded, tmp_path):
         document = json.loads(shard_checkpoint.read_text())
         assert document["config_hash"] == shard["config_hash"]
     assert manifest["cluster_hash"]
+
+
+def test_manifest_rows_list_the_shared_cut_tables(sharded):
+    _register_fleet(sharded)
+    manifest = json.loads(sharded.checkpoint().read_text())
+    table = Optwin(w_max=2000)._cut_table
+    listed = [[table.rho, table.confidence, table.warning_confidence, 2000]]
+    owner = sharded.shard_of("acme", "search")
+    assert [row["tables"] for row in manifest["shards"]] == [
+        listed if index == owner else [] for index in range(2)
+    ]
+
+
+def test_describe_leaves_out_a_private_cut_table():
+    """The half-split ablation reads a table of its own, which a cold
+    restart could not share with the workers."""
+    hub = MonitorHub()
+    hub.register("t", "half", _FixedSplitOptwin(w_max=300))
+    assert hub.describe()["tables"] == []
+    hub.register("t", "shared", "OPTWIN", {"w_max": 300})
+    [[*_, length]] = hub.describe()["tables"]
+    assert length == 300
+
+
+def _edit_manifest_tables(tmp_path, tables):
+    """Checkpoint a fleet, then give the first shard row ``tables`` (or no
+    ``tables`` field at all for ``None``)."""
+    with ShardedHub(2, checkpoint_dir=tmp_path) as hub:
+        _register_fleet(hub)
+        hub.ingest([(t, m, VALUES[:450]) for t, m, _, _ in MONITORS])
+        hub.checkpoint()
+    path = tmp_path / MANIFEST_FILENAME
+    manifest = json.loads(path.read_text())
+    for row in manifest["shards"]:
+        row.pop("tables")
+    if tables is not None:
+        manifest["shards"][0]["tables"] = tables
+    path.write_text(json.dumps(manifest))
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [
+        [0.5, 0.99, None],
+        [0.5, "0.99", None, 500],
+        [0.5, 0.99, None, 500.0],
+        [True, 0.99, 0.9, 500],
+        {"rho": 0.5},
+    ],
+)
+def test_malformed_manifest_cut_table_is_refused(tmp_path, entry):
+    _edit_manifest_tables(tmp_path, [entry])
+    with pytest.raises(SnapshotError, match="malformed cut table"):
+        ShardedHub(2, checkpoint_dir=tmp_path)
+
+
+def test_manifest_without_cut_tables_resumes(tmp_path):
+    _edit_manifest_tables(tmp_path, None)
+    direct = MonitorHub()
+    direct.register("acme", "search", "OPTWIN", {"w_max": 2000})
+    expected = direct.observe("acme", "search", VALUES).drift_positions
+    with ShardedHub(2, checkpoint_dir=tmp_path) as resumed:
+        tail = resumed.observe("acme", "search", VALUES[450:]).drift_positions
+    assert tail, "the monitor must drift after the checkpoint"
+    assert [p for p in expected if p >= 450] == tail
 
 
 def test_resume_is_bit_exact(tmp_path):
