@@ -19,10 +19,10 @@ callers that prefer the River-style property API.
 from __future__ import annotations
 
 import abc
-import array
 import collections.abc
 import numbers
 import reprlib
+import struct
 from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
@@ -99,11 +99,15 @@ def as_value_array(values: Any) -> "np.ndarray":
     elif isinstance(values, collections.abc.Iterator):
         values = list(values)  # a generator, which np.asarray would not unpack
     if isinstance(values, list):
+        n = len(values)
+        array = np.empty(n, dtype=np.float64)
         try:
-            # array.array reads each item as a C double in one pass; numpy
-            # would first walk the list to discover a dtype.
-            return np.frombuffer(array.array("d", values), dtype=np.float64)
-        except (TypeError, ValueError, OverflowError):
+            # struct reads each item as a C double (native "d", the
+            # conversion array.array("d") makes) in one pass; numpy would
+            # first walk the list to discover a dtype.
+            struct.pack_into(f"{n}d", array, 0, *values)
+            return array
+        except (TypeError, ValueError, OverflowError, struct.error):
             pass  # numpy decides below, and words any refusal
     try:
         # No dtype: numpy would parse numeric strings into floats.  The kind

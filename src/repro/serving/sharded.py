@@ -242,10 +242,13 @@ def _safe_send(conn: Connection, reply: Tuple[str, Any]) -> None:
 def _tracker_is_inherited() -> bool:
     """Whether this worker shares its parent's resource-tracker process.
 
-    Under the ``fork`` start method the tracker's pipe fd survives into the
-    child, so register/unregister messages land in the *parent's* tracker;
-    under ``spawn`` the fd starts unset and the first registration launches
-    a child-private tracker.  Must be sampled before any shared-memory call
+    When it does, register/unregister messages land in the *parent's*
+    tracker.  On Linux that holds under ``fork``, ``spawn`` and
+    ``forkserver`` alike: :meth:`ShardedHub._spawn` creates the shard's
+    segment, which starts the parent's tracker, before the worker starts,
+    and ``spawn`` and ``forkserver`` hand their children the tracker's fd.
+    Where the fd starts unset, the first registration would launch a
+    child-private tracker.  Must be sampled before any shared-memory call
     (which would itself set the fd).
     """
     try:
@@ -263,12 +266,13 @@ def _worker_attach_shm(
 
     The parent owns at most one live segment per shard, so a new name
     retires every cached one.  Python < 3.13 registers an *attached*
-    segment with the resource tracker as if this process owned it; when the
-    worker runs its own tracker (``spawn``) that registration would unlink
-    the parent's segment on worker exit, so it is immediately revoked.
-    When the tracker is the parent's (``fork``) the registration is an
-    idempotent no-op and revoking it would instead break the *parent's*
-    unlink bookkeeping — so it is left alone.
+    segment with the resource tracker as if this process owned it.  When
+    the tracker is the parent's (see :func:`_tracker_is_inherited`: on
+    Linux under every start method) the registration is an idempotent
+    no-op and revoking it would instead break the *parent's* unlink
+    bookkeeping, so it is left alone.  A worker running its own tracker
+    would unlink the parent's segment on exit, so there the registration
+    is revoked at once; on Linux that branch does not run.
     """
     block = cache.get(name)
     if block is not None:
@@ -330,6 +334,7 @@ def _shard_worker_main(
     wal_fsync: str = "batch",
     webhook: Optional[str] = None,
     webhook_dead_letter: Optional[str] = None,
+    parent_ends: Sequence[Connection] = (),
 ) -> None:
     """Request/reply loop of one shard worker (one ``MonitorHub`` per shard).
 
@@ -338,7 +343,15 @@ def _shard_worker_main(
     worker can never desynchronise.  Library errors (``ReproError`` family)
     travel back as values and are re-raised in the parent; the worker itself
     stays alive.  EOF on the pipe (parent gone) ends the worker.
+
+    ``parent_ends`` are the parent's ends of worker pipes that a forked
+    worker inherited: its own pipe's and the earlier workers'.  The worker
+    closes them first; while any copy of its own pipe's parent end stays
+    open, the pipe never reads EOF, and a parent killed without
+    :meth:`ShardedHub.close` would leave every worker blocked in ``recv``.
     """
+    for end in parent_ends:
+        end.close()
     # The parent owns shutdown: terminal Ctrl-C must not kill workers before
     # the parent has written its final checkpoint.
     signal.signal(signal.SIGINT, signal.SIG_IGN)
@@ -737,6 +750,13 @@ class ShardedHub:
         self._shm_block(index, 0)
         parent_conn, child_conn = self._context.Pipe(duplex=True)
         try:
+            # A forked worker inherits every open fd of this process, among
+            # them the parent ends of its own pipe and the live workers'.
+            parent_ends = (
+                [parent_conn, *(conn for conn in self._conns if conn is not None)]
+                if self._context.get_start_method() == "fork"
+                else []
+            )
             audit = (
                 f"{self._audit_log}.{_shard_dirname(index)}"
                 if self._audit_log is not None
@@ -760,6 +780,7 @@ class ShardedHub:
                     self._wal_fsync,
                     self._webhook,
                     dead_letter,
+                    parent_ends,
                 ),
                 name=f"repro-shard-{index:02d}",
                 daemon=True,

@@ -90,3 +90,78 @@ def test_lists_of_objects_with_a_float_value_convert():
 def test_lists_with_an_item_float_refuses_are_refused(values):
     with pytest.raises(TypeError, match="values must be a number or a flat list"):
         as_value_array(values)
+
+
+def array_module_rule(values):
+    """The list conversion through ``array.array("d")``, as it was before
+    ``struct`` read lists: the reference for the same items and values."""
+    import array
+    import collections.abc
+    import numbers
+    import reprlib
+
+    if isinstance(values, np.ndarray) and values.ndim == 1:
+        if values.dtype == np.float64:
+            return np.ascontiguousarray(values)
+    elif isinstance(values, (numbers.Real, np.bool_)):
+        return np.array([float(values)], dtype=np.float64)
+    elif isinstance(values, collections.abc.Iterator):
+        values = list(values)
+    if isinstance(values, list):
+        try:
+            return np.frombuffer(array.array("d", values), dtype=np.float64)
+        except (TypeError, ValueError, OverflowError):
+            pass
+    try:
+        read = np.asarray(values)
+    except (TypeError, ValueError):
+        pass
+    else:
+        if read.ndim <= 1 and read.dtype.kind in "biuf":
+            return np.ascontiguousarray(read, dtype=np.float64)
+    raise TypeError(
+        "values must be a number or a flat list of numbers, "
+        f"got {reprlib.repr(values)}"
+    )
+
+
+def _outcome(rule, values):
+    try:
+        result = rule(values)
+    except Exception as exc:  # the exception is the outcome compared
+        return type(exc), str(exc)
+    return result.dtype, result.shape, result.flags.writeable, result.tobytes()
+
+
+#: Items of every kind a list payload may hold, in process or decoded.
+any_items = st.one_of(
+    floats,
+    st.integers(min_value=-(2**80), max_value=2**80),
+    st.sampled_from([10**400, -(10**400), True, False, None, "1", "nan", ""]),
+    st.builds(np.float32, st.floats(width=32, allow_nan=False)),
+    st.builds(np.int64, st.integers(min_value=-(2**63), max_value=2**63 - 1)),
+    st.builds(np.bool_, st.booleans()),
+    st.builds(Decimal, st.integers(min_value=-(10**30), max_value=10**30)),
+    st.builds(Fraction, st.integers(), st.integers(min_value=1, max_value=10**6)),
+    st.text(max_size=3),
+    st.lists(floats, max_size=3),
+)
+any_lists = st.lists(any_items, max_size=12) | st.lists(floats | integers, max_size=64)
+
+
+@given(values=any_lists | st.lists(st.lists(floats, min_size=1, max_size=3), max_size=4))
+@settings(max_examples=1000, deadline=None)
+def test_list_conversion_matches_the_array_module_rule(values):
+    """``struct``'s native ``d`` converts each item as ``array.array("d")``
+    did: the same float64 bytes, or the same refusal, for ints past 64 bits,
+    bools, numpy scalars, ``Decimal``, ``Fraction``, strings, ``None``,
+    nested, ragged and empty lists."""
+    assert _outcome(as_value_array, values) == _outcome(array_module_rule, values)
+
+
+@pytest.mark.parametrize(
+    "values",
+    [[], [[1.0, 2.0], [3.0]], [[1.0], [2.0]], [2**70, True, np.float32(0.5)], [10**400]],
+)
+def test_list_conversion_matches_the_array_module_rule_at_the_edges(values):
+    assert _outcome(as_value_array, values) == _outcome(array_module_rule, values)
