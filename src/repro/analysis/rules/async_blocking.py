@@ -74,7 +74,6 @@ BLOCKING_METHODS = frozenset(
         # AlertWal / durability helpers (repro.serving.wal).
         "commit",
         "append_alert",
-        "append_alerts",
         "append_watermark",
         "append_delivered",
         "flush_handle",

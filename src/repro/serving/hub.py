@@ -729,8 +729,7 @@ class MonitorHub:
         self, entry: _MonitorEntry, fired: List[Tuple[str, int, int]]
     ) -> None:
         """Number one monitor's ``(kind, position, n_drifts)`` transitions,
-        log them to the WAL (one record each, one write for the batch), then
-        deliver them to the sinks.
+        log them to the WAL, then deliver them to the sinks.
 
         The order is the durability contract: the WAL appends happen before
         any sink sees an alert, so a crash at any point leaves each alert
@@ -758,7 +757,8 @@ class MonitorHub:
         if not alerts:
             return
         if self._wal is not None:
-            self._wal.append_alerts(alerts)
+            for alert in alerts:
+                self._wal.append_alert(alert)
         self._emit(alerts)
 
     def _emit(self, alerts: Sequence[DriftAlert]) -> None:

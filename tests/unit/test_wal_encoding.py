@@ -6,8 +6,9 @@ still be exactly ``json.dumps(record, sort_keys=True, separators=(",",
 ":")).encode("utf-8")``: checked here over strings with ``%``, quotes,
 backslashes, control characters, non-ASCII and lone surrogates, integers up
 to 2**70 and timestamps down to the subnormals, and over every field that
-sends a record to ``json.dumps`` instead.  A batch append writes the same
-segment bytes as one append per alert, and the reader returns the records.
+sends a record to ``json.dumps`` instead.  A segment holds the bytes the
+``json.dumps`` framing would have written, and the reader returns the
+records.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from __future__ import annotations
 import enum
 import json
 import math
+import zlib
 from unittest import mock
 
 import pytest
@@ -23,7 +25,7 @@ from hypothesis import strategies as st
 
 from repro.serving import wal as wal_module
 from repro.serving.sinks import DriftAlert
-from repro.serving.wal import AlertWal, _scan_segment
+from repro.serving.wal import _HEADER, AlertWal, _scan_segment
 
 
 def reference(record):
@@ -60,29 +62,19 @@ alerts = st.builds(
 )
 
 
-@given(batch=st.lists(alerts, max_size=6))
-@settings(max_examples=500, deadline=None)
-def test_direct_alert_payloads_are_json_dumps_bytes(batch):
+@given(alert=alerts)
+@settings(max_examples=1000, deadline=None)
+def test_direct_alert_payloads_are_json_dumps_bytes(alert):
     # json.dumps may not be called: every record here takes the direct path.
     with mock.patch.object(wal_module, "_json_payload", side_effect=AssertionError):
-        payloads = wal_module._alert_payloads(batch)
-    assert payloads == [reference(alert_record(alert)) for alert in batch]
-
-
-@given(batch=st.lists(alerts, min_size=1, max_size=4), tenant=strings, monitor=strings)
-@settings(max_examples=200, deadline=None)
-def test_batch_sharing_one_monitor_encodes_each_alert(batch, tenant, monitor):
-    batch = [alert._replace(tenant=tenant, monitor_id=monitor) for alert in batch]
-    assert wal_module._alert_payloads(batch) == [
-        reference(alert_record(alert)) for alert in batch
-    ]
+        payload = wal_module._alert_payload(alert)
+    assert payload == reference(alert_record(alert))
 
 
 @given(tenant=strings, monitor=strings, n_seen=integers)
 @settings(max_examples=500, deadline=None)
-def test_direct_watermark_payloads_are_json_dumps_bytes(tenant, monitor, n_seen):
-    with mock.patch.object(wal_module, "_json_payload", side_effect=AssertionError):
-        payload = wal_module._watermark_payload(tenant, monitor, n_seen)
+def test_watermark_payloads_are_json_dumps_bytes(tenant, monitor, n_seen):
+    payload = wal_module._watermark_payload(tenant, monitor, n_seen)
     record = {"t": "watermark", "tenant": tenant, "monitor_id": monitor, "n_seen": n_seen}
     assert payload == reference(record)
 
@@ -131,18 +123,36 @@ def test_unusual_fields_fall_back_to_json_dumps(fields):
     with mock.patch.object(
         wal_module, "_json_payload", wraps=wal_module._json_payload
     ) as fallback:
-        payloads = wal_module._alert_payloads([_ALERT, alert, _ALERT])
+        payload = wal_module._alert_payload(alert)
     assert fallback.call_count == 1
-    assert payloads == [reference(alert_record(a)) for a in (_ALERT, alert, _ALERT)]
+    assert payload == reference(alert_record(alert))
+
+
+def frame(payload):
+    return _HEADER.pack(len(payload), zlib.crc32(payload)) + payload
 
 
 @pytest.mark.parametrize(
     "tenant, monitor, n_seen",
-    [(_Str("t"), "m", 5), ("t", _Str("m"), 5), ("t", "m", _Int(5)), ("t", "m", True)],
+    [
+        (_Str("t%s"), "m", 5),
+        ("t", _Str("m"), 5),
+        ("t", "m", _Int(5)),
+        ("t", "m", True),
+        ("t", "m", _Level.HIGH),
+        (7, 8.5, 9.75),
+    ],
 )
-def test_unusual_watermark_fields_fall_back_to_json_dumps(tenant, monitor, n_seen):
-    record = {"t": "watermark", "tenant": tenant, "monitor_id": monitor, "n_seen": n_seen}
-    assert wal_module._watermark_payload(tenant, monitor, n_seen) == reference(record)
+def test_append_watermark_writes_json_dumps_bytes_of_unusual_fields(
+    tmp_path, tenant, monitor, n_seen
+):
+    wal = AlertWal(tmp_path)
+    wal.append_watermark(tenant, monitor, n_seen)
+    wal.close()
+    record = {
+        "t": "watermark", "tenant": str(tenant), "monitor_id": str(monitor), "n_seen": int(n_seen)
+    }
+    assert (tmp_path / "wal-00000001.log").read_bytes() == frame(reference(record))
 
 
 def _batch():
@@ -155,30 +165,34 @@ def _batch():
 
 
 @pytest.mark.parametrize("fsync", ["always", "batch", "off"])
-def test_batch_append_writes_the_bytes_of_one_append_per_alert(tmp_path, fsync):
-    one_by_one = AlertWal(tmp_path / "single", fsync=fsync)
-    batched = AlertWal(tmp_path / "batch", fsync=fsync)
-    for wal in (one_by_one, batched):
-        wal.append_watermark("acme", "m-%s", 512)
+def test_segment_holds_the_json_dumps_framing_of_each_record(tmp_path, fsync):
+    wal = AlertWal(tmp_path, fsync=fsync)
+    wal.append_watermark("acme", "m-%s", 512)
     for alert in _batch():
-        one_by_one.append_alert(alert)
-    batched.append_alerts(_batch())
-    for wal in (one_by_one, batched):
-        wal.append_watermark("acme", "m-%s", 1024)
-        wal.commit()
-    assert batched.stats()["n_appends"] == one_by_one.stats()["n_appends"] == 6
-    assert batched.stats()["n_alerts"] == one_by_one.stats()["n_alerts"] == 4
-    assert batched.stats()["bytes_written"] == one_by_one.stats()["bytes_written"]
-    one_by_one.close()
-    batched.close()
-    segment = "wal-00000001.log"
-    written = (tmp_path / "batch" / segment).read_bytes()
-    assert written == (tmp_path / "single" / segment).read_bytes()
+        wal.append_alert(alert)
+    wal.append_watermark("acme", "m-%s", 1024)
+    wal.append_delivered("acme", "m-%s", 4)
+    wal.commit()
+    expected = (
+        [{"t": "watermark", "tenant": "acme", "monitor_id": "m-%s", "n_seen": 512}]
+        + [alert_record(alert) for alert in _batch()]
+        + [
+            {"t": "watermark", "tenant": "acme", "monitor_id": "m-%s", "n_seen": 1024},
+            {"t": "delivered", "tenant": "acme", "monitor_id": "m-%s", "seq": 4},
+        ]
+    )
+    frames = b"".join(frame(reference(record)) for record in expected)
+    stats = wal.stats()
+    assert (stats["n_appends"], stats["n_alerts"]) == (7, 4)
+    assert stats["bytes_written"] == len(frames)
+    wal.close()
+    assert (tmp_path / "wal-00000001.log").read_bytes() == frames
 
 
 def test_scan_segment_reads_the_written_records_back(tmp_path):
     wal = AlertWal(tmp_path)
-    wal.append_alerts(_batch())
+    for alert in _batch():
+        wal.append_alert(alert)
     wal.append_watermark("acme", "m-%s", 1024)
     wal.append_delivered("acme", "m-%s", 4)
     wal.close()
@@ -192,33 +206,3 @@ def test_scan_segment_reads_the_written_records_back(tmp_path):
     for record, want in zip(records, expected):
         # NaN != NaN: compare the re-encoded records.
         assert reference(record) == reference(want)
-
-
-def test_empty_batch_writes_nothing(tmp_path):
-    wal = AlertWal(tmp_path)
-    wal.append_alerts([])
-    assert wal.stats()["n_appends"] == 0
-    wal.close()
-    assert (tmp_path / "wal-00000001.log").read_bytes() == b""
-
-
-class _Killed(Exception):
-    pass
-
-
-def test_failpoint_writes_a_batch_only_through_the_nth_alert(tmp_path, monkeypatch):
-    monkeypatch.setenv(wal_module.FAILPOINT_ENV, "kill-after-alert:3")
-
-    def kill(pid, sig):
-        raise _Killed(sig)
-
-    monkeypatch.setattr(wal_module.os, "kill", kill)
-    wal = AlertWal(tmp_path)
-    wal.append_alerts(_batch()[:2])
-    with pytest.raises(_Killed):
-        wal.append_alerts(_batch())
-    # The 3rd alert is on disk, the rest of its batch never reached the file.
-    records, _, torn = _scan_segment(tmp_path / "wal-00000001.log")
-    assert not torn
-    assert [record["seq"] for record in records] == [1, 2, 1]
-    wal.close()
